@@ -71,9 +71,7 @@ same-address stores from multiple work-items resolve by numpy
 fancy-assignment order, and statements between barriers execute in
 lock-step across lanes rather than item-by-item.
 
-Everything here is a wall-clock optimisation only; when numpy is not
-installed the module degrades to ``AVAILABLE = False`` and the scalar
-engine carries all execution.
+Everything here is a wall-clock optimisation only.
 """
 
 from __future__ import annotations
@@ -81,6 +79,8 @@ from __future__ import annotations
 import math
 import threading
 from typing import Any, Optional, Sequence
+
+import numpy as _np
 
 from ..errors import KirRuntimeError
 from . import ir
@@ -96,13 +96,6 @@ from .pycodegen import (
     _stmt_cost,
     _used_workitem_vars,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
-AVAILABLE = _np is not None
 
 #: Masked-loop iteration budget per loop entry.  A loop still live past
 #: this many iterations raises :class:`VecIterationCap`; the dispatcher
@@ -407,10 +400,10 @@ def _namespace_base() -> dict[str, Any]:
         "__vload2": _vload2,
         "__vstore": _vstore,
         "__vstore2": _vstore2,
-        "__vnot": None if _np is None else _np.logical_not,
-        "__vand": None if _np is None else _np.logical_and,
-        "__vor": None if _np is None else _np.logical_or,
-        "__vsel": None if _np is None else _np.where,
+        "__vnot": _np.logical_not,
+        "__vand": _np.logical_and,
+        "__vor": _np.logical_or,
+        "__vsel": _np.where,
         "__kre": KirRuntimeError,
         "__CAP": LOOP_ITER_CAP,
         "__vcaperr": VecIterationCap,
@@ -669,8 +662,6 @@ def eligibility(module: ir.Module, fn: ir.Function) -> Optional[str]:
     The reason string becomes the ``dispatch.fallback.<reason>`` trace
     counter suffix when a dispatch is demoted to a scalar tier.
     """
-    if not AVAILABLE:
-        return "no-numpy"
     variant = _variant_vars(module, fn)
     expr_variant = _make_expr_variant(module, variant)
 
@@ -1624,7 +1615,7 @@ def fold_group_warps(
 ) -> list[list[int]]:
     """Reduce a per-item op vector to per-group warp maxima.
 
-    Reproduces ``costmodel._group_warp_costs`` exactly: items are
+    Reproduces ``costmodel.group_warp_costs`` exactly: items are
     regrouped from linear (dim0-fastest) order into intra-group arrival
     order, chunked into warps of *simd*, and reduced by max.  The
     short-warp tail pads with zeros, which cannot change a maximum of
@@ -1668,7 +1659,7 @@ class VecKernel:
         self._run = run_fn
         #: group-mode kernels are priced from item ops listed in the
         #: scalar engine's group-major visit order; reproduce that
-        #: ordering quirk bit-for-bit (see :meth:`run_group_warps`)
+        #: ordering quirk bit-for-bit (see :meth:`run_item_ops`)
         self.group_major = group_major
         #: True when the kernel contains loops whose runtime iteration
         #: count is lane-dependent (the :data:`LOOP_ITER_CAP` can fire)
@@ -1677,15 +1668,14 @@ class VecKernel:
         #: codegen (reported per dispatch as ``dispatch.cse.hits``)
         self.cse_hits = cse_hits
 
-    def run_group_warps(
-        self,
-        args: Sequence[Any],
-        gsz: Sequence[int],
-        lsz: Sequence[int],
-        simd: int,
-    ) -> list[list[int]]:
-        """Execute the NDRange on numpy arrays; returns per-group warp
-        op maxima.  Array arguments must be numpy views of the buffers
+    def run_item_ops(
+        self, args: Sequence[Any], gsz: Sequence[int], lsz: Sequence[int]
+    ) -> Any:
+        """Execute the NDRange on numpy arrays; returns the per-item op
+        vector in the order the scalar engine prices it, so slicing it
+        at work-group-row boundaries matches slicing
+        :meth:`repro.kir.KernelRunner.run_range`.  Array arguments must
+        be numpy views of the buffers
         (:meth:`repro.opencl.memory.Buffer.np_view`)."""
         g = _pad3(gsz)
         l = _pad3(lsz)
@@ -1700,7 +1690,18 @@ class VecKernel:
             arranged = _np.empty_like(ops)
             arranged[_fold_perm(g, l, ops.shape[0])] = ops
             ops = arranged
-        return fold_group_warps(ops, g, l, simd)
+        return ops
+
+    def run_group_warps(
+        self,
+        args: Sequence[Any],
+        gsz: Sequence[int],
+        lsz: Sequence[int],
+        simd: int,
+    ) -> list[list[int]]:
+        """:meth:`run_item_ops` folded into per-group warp op maxima."""
+        ops = self.run_item_ops(args, gsz, lsz)
+        return fold_group_warps(ops, gsz, lsz, simd)
 
 
 def vectorize_kernel_info(
@@ -1713,8 +1714,6 @@ def vectorize_kernel_info(
     for an unexpected compilation failure — vectorisation is purely an
     optimisation, so the scalar engine silently carries execution).
     """
-    if not AVAILABLE:
-        return None, "no-numpy"
     try:
         reason = eligibility(module, fn)
         if reason is not None:

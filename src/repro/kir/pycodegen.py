@@ -459,7 +459,7 @@ class KernelRunner:
         self._locals_factory = locals_factory
         self._run_warps = run_warps
         #: vectorised batch executor (:mod:`repro.kir.npcodegen`), or
-        #: None when numpy is missing or the kernel is not vectorisable
+        #: None when the kernel is not vectorisable
         self.vec = None
         #: why ``vec`` is None (an ``npcodegen.eligibility`` reason
         #: string surfaced as a ``dispatch.fallback.<reason>`` counter)
@@ -596,22 +596,12 @@ def _pad3(dims: Sequence[int]) -> tuple[int, int, int]:
     return (d[0], d[1], d[2])
 
 
-def _vectorize(module: ir.Module, fn: ir.Function):
-    """Build the numpy batch executor for *fn*, if possible.
-
-    Returns ``(vec_kernel_or_None, fallback_reason_or_None)``.
-    """
-    from . import npcodegen
-
-    if not npcodegen.AVAILABLE:
-        return None, "no-numpy"
-    return npcodegen.vectorize_kernel_info(module, fn)
-
-
 class CompiledModule:
     """A kir module compiled to Python, ready to execute."""
 
     def __init__(self, module: ir.Module) -> None:
+        from .npcodegen import vectorize_kernel_info  # imports this module
+
         self.module = module
         self.source = _generate_source(module)
         self.namespace: dict[str, Any] = dict(_GLOBALS_BASE)
@@ -631,7 +621,7 @@ class CompiledModule:
                     run_range=self.namespace[f"__run_{fn.name}"],
                     run_warps=self.namespace[f"__warps_{fn.name}"],
                 )
-            runner.vec, runner.vec_reason = _vectorize(module, fn)
+            runner.vec, runner.vec_reason = vectorize_kernel_info(module, fn)
             self._runners[fn.name] = runner
 
     def call(self, name: str, args: Sequence[Any]) -> tuple[Any, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
+import weakref
 from typing import Iterator, Optional, Sequence
 
 from ..errors import CLDeviceLost, CLInvalidValue
@@ -47,7 +48,12 @@ def fresh_clock() -> Iterator[SimClock]:
 
 
 class Context:
-    """Holds devices plus the software state attached to them."""
+    """Holds devices plus the software state attached to them.
+
+    Buffers are tracked weakly (a buffer holds its context, never the
+    reverse), so the buffers of a context dropped without
+    :meth:`release` are freed by refcount, not by a later cyclic GC.
+    """
 
     def __init__(
         self,
@@ -64,7 +70,10 @@ class Context:
         self.ledger = CostLedger()
         self.released = False
         self._queues: list = []
-        self._buffers: list = []
+        #: creation ordinal -> live Buffer, held weakly
+        self._buffers = weakref.WeakValueDictionary()
+        #: source of ``Buffer.ordinal``; never reused, even after release
+        self._buffer_ordinals = itertools.count()
         #: source text -> shared Program object (clCreateProgramWithSource
         #: dedupe within this context); see Program.shared.
         self._program_registry: dict = {}
@@ -426,7 +435,7 @@ class Context:
         return self.ledger
 
     def release(self) -> None:
-        for buf in list(self._buffers):
+        for buf in list(self._buffers.values()):
             if not buf.released:
                 buf.release()
         self.released = True

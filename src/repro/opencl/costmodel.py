@@ -143,10 +143,6 @@ def group_warp_costs(
     return out
 
 
-#: Backwards-compatible alias (pre-multi-device name).
-_group_warp_costs = group_warp_costs
-
-
 def _schedule(group_ns: Sequence[float], compute_units: int) -> float:
     """In-order greedy assignment of groups to CUs; returns the makespan."""
     if not group_ns:

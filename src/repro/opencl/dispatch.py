@@ -13,9 +13,10 @@ fastest correct tier for each dispatch:
 * **scalar warp-fold** — the generated ``__warps_`` runner, which
   iterates items inline with hoisted index arithmetic and folds op
   counts into warp maxima on the fly (no per-item list).
-* **legacy** — the original ``__run_`` per-item path, kept as the
-  reference; selectable via :func:`set_legacy_execution` so benchmarks
-  can measure old vs new on the same workload.
+* **legacy** — the original ``__run_`` per-item path
+  (:meth:`repro.kir.KernelRunner.run_range`), kept as the reference;
+  selectable via :func:`set_legacy_execution` so benchmarks can measure
+  old vs new on the same workload.
 
 Group-mode kernels (barriers / local memory) are eligible for the
 vectorised tier too (barrier-phase execution with local arrays as numpy
@@ -27,11 +28,11 @@ nanoseconds never depend on the tier chosen.
 Every demotion from the vectorised tier is counted on the active tracer
 as ``dispatch.fallback`` plus ``dispatch.fallback.<reason>`` (reasons:
 ``while-loop``, ``barrier``, ``user-call``, ``iter-cap``,
-``small-ndrange``, ``no-numpy``, … — see
+``small-ndrange``, ``fault``, … — see
 :func:`repro.kir.npcodegen.eligibility`), so BENCH regressions are
 diagnosable instead of silent.  Kernels with masked loops carry a
 runtime iteration cap; hitting it restores the pre-dispatch buffer
-contents and re-runs on the scalar warp-fold (counted as ``iter-cap``).
+contents and re-runs on a scalar tier (counted as ``iter-cap``).
 
 The vectorised tier's two loop optimisations are observable here too:
 
@@ -53,11 +54,14 @@ generated code reads them at run time.
 The module also houses the **multi-device split** machinery
 (:func:`split_share_counts`, :func:`multi_device_kernel_ns`) used by
 :meth:`repro.opencl.context.Context.enqueue_nd_range`: one NDRange is
-executed once, then sliced along its outermost dimension at work-group
-boundaries, and each device's slice is folded into warp maxima with
-*that device's* SIMD width and priced on its own spec — deterministic,
-and bit-identical in buffer contents to single-device execution because
-only one execution ever happens.
+executed once, on the same tiers as a single-device dispatch, then its
+per-item op counts are sliced along the outermost dimension at
+work-group boundaries, and each device's slice is folded into warp
+maxima with *that device's* SIMD width and priced on its own spec.
+Only a demotion or forced legacy execution runs the per-item
+``run_range`` engine.  Deterministic, and bit-identical in buffer
+contents to single-device execution because only one execution ever
+happens.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from ..trace import current_tracer
 from . import faults as _faults
 from . import fusion as _fusion
 from .costmodel import DeviceSpec, group_warp_costs
-from .memory import HAVE_NUMPY, Buffer
+from .memory import Buffer
 
 #: Below this many work-items the scalar warp-fold runner beats the
 #: numpy tier on wall-clock (array setup dominates tiny dispatches).
@@ -200,31 +204,74 @@ def _count_cse_hits(hits: int) -> None:
         tracer.count("dispatch.cse.hits", hits)
 
 
-def _fallback_reason(runner: "kir.KernelRunner", nitems: int) -> str:
-    """Why this dispatch is not taking the vectorised tier."""
-    if not HAVE_NUMPY:
-        return "no-numpy"
-    if runner.vec is None:
-        return runner.vec_reason or "ineligible"
-    return "small-ndrange"
-
-
-def _scalar_kernel_ns(
+def _vec_item_ops(
     runner: "kir.KernelRunner",
-    spec: DeviceSpec,
     raw_args: Sequence,
     gsz: Sequence[int],
     lsz: Sequence[int],
-) -> float:
-    """Non-vectorised reference execution (generator engine or
-    warp-fold runner, by kernel mode)."""
-    if runner.group_mode:
-        item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
-        return spec.kernel_ns(item_ops, gsz, lsz)
-    group_warps = runner.run_group_warps(
-        _listify(raw_args), gsz, lsz, spec.simd_width
-    )
-    return spec.kernel_ns_from_group_warps(group_warps)
+):
+    """Execute one NDRange on the vectorised tier.
+
+    Returns the per-item op vector in the order the scalar engine prices
+    it (:meth:`repro.kir.npcodegen.VecKernel.run_item_ops`), or ``None``
+    after counting ``dispatch.fallback.<reason>`` when a scalar tier
+    must run the dispatch instead.  Forced legacy execution also returns
+    ``None`` but counts nothing: the user asked for it.
+    """
+    if _legacy:
+        return None
+    if runner.vec is None:
+        _count_fallback(runner.vec_reason or "ineligible")
+        return None
+    nitems = 1
+    for s in gsz:
+        nitems *= s
+    if nitems < VEC_MIN_ITEMS:
+        _count_fallback("small-ndrange")
+        return None
+    plan = _faults.active_plan()
+    if plan is not None:
+        fault = plan.decide("vec", runner.name)
+        if fault is not None:
+            # Graceful degradation: the scalar tiers produce identical
+            # outputs and identical priced nanoseconds, so a vec-tier
+            # fault never surfaces to the caller — it just demotes.
+            _faults.count_injection(fault)
+            _faults.count_failover()
+            _count_fallback("fault")
+            return None
+    np_args = [
+        a.np_view() if isinstance(a, Buffer) else a for a in raw_args
+    ]
+    snaps: list[tuple[Buffer, object]] = []
+    if runner.vec.has_masked_loops:
+        # A masked loop may hit the iteration cap after partial stores;
+        # snapshot written buffers so the scalar rerun starts clean.
+        for i in runner.written_param_indices:
+            arg = raw_args[i]
+            if isinstance(arg, Buffer):
+                snaps.append((arg, arg.np_view().copy()))
+    compact_before = _npc.thread_compact_stats()
+    try:
+        try:
+            ops = runner.vec.run_item_ops(np_args, gsz, lsz)
+        finally:
+            # Even a faulting kernel may have partially stored.  Count
+            # compaction activity here too: events that happened before
+            # an iteration-cap abort are still real work.
+            _count_compaction(compact_before)
+            for i in runner.written_param_indices:
+                arg = raw_args[i]
+                if isinstance(arg, Buffer):
+                    arg.mark_np_written()
+    except _npc.VecIterationCap:
+        for arg, snap in snaps:
+            arg.np_view()[:] = snap
+            arg.mark_np_written()
+        _count_fallback("iter-cap")
+        return None
+    _count_cse_hits(runner.vec.cse_hits)
+    return ops
 
 
 def dispatch_kernel_ns(
@@ -240,62 +287,15 @@ def dispatch_kernel_ns(
     this helper can choose the storage tier) and plain scalars
     otherwise.
     """
-    if _legacy:
-        # Reference path for benchmarking; intentionally not counted as
-        # a fallback (nothing was demoted — the user asked for it).
-        item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
-        return spec.kernel_ns(item_ops, gsz, lsz)
-    nitems = 1
-    for s in gsz:
-        nitems *= s
-    if runner.vec is None or not HAVE_NUMPY or nitems < VEC_MIN_ITEMS:
-        _count_fallback(_fallback_reason(runner, nitems))
-        return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
-    plan = _faults.active_plan()
-    if plan is not None:
-        fault = plan.decide("vec", runner.name)
-        if fault is not None:
-            # Graceful degradation: the scalar tiers produce identical
-            # outputs and identical priced nanoseconds, so a vec-tier
-            # fault never surfaces to the caller — it just demotes.
-            _faults.count_injection(fault)
-            _faults.count_failover()
-            _count_fallback("fault")
-            return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
-    np_args = [
-        a.np_view() if isinstance(a, Buffer) else a for a in raw_args
-    ]
-    snaps: list[tuple[Buffer, object]] = []
-    if runner.vec.has_masked_loops:
-        # A masked loop may hit the iteration cap after partial stores;
-        # snapshot written buffers so the scalar rerun starts clean.
-        for i in runner.written_param_indices:
-            arg = raw_args[i]
-            if isinstance(arg, Buffer):
-                snaps.append((arg, arg.np_view().copy()))
-    compact_before = _npc.thread_compact_stats()
-    try:
-        try:
-            group_warps = runner.vec.run_group_warps(
-                np_args, gsz, lsz, spec.simd_width
-            )
-        finally:
-            # Even a faulting kernel may have partially stored.  Count
-            # compaction activity here too: events that happened before
-            # an iteration-cap abort are still real work.
-            _count_compaction(compact_before)
-            for i in runner.written_param_indices:
-                arg = raw_args[i]
-                if isinstance(arg, Buffer):
-                    arg.mark_np_written()
-    except _npc.VecIterationCap:
-        for arg, snap in snaps:
-            arg.np_view()[:] = snap
-            arg.mark_np_written()
-        _count_fallback("iter-cap")
-        return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
-    _count_cse_hits(runner.vec.cse_hits)
-    return spec.kernel_ns_from_group_warps(group_warps)
+    ops = _vec_item_ops(runner, raw_args, gsz, lsz)
+    if ops is not None:
+        warps = _npc.fold_group_warps(ops, gsz, lsz, spec.simd_width)
+        return spec.kernel_ns_from_group_warps(warps)
+    args = _listify(raw_args)
+    if _legacy or runner.group_mode:
+        return spec.kernel_ns(runner.run_range(args, gsz, lsz), gsz, lsz)
+    warps = runner.run_group_warps(args, gsz, lsz, spec.simd_width)
+    return spec.kernel_ns_from_group_warps(warps)
 
 
 # -- multi-device splitting -------------------------------------------------
@@ -344,9 +344,16 @@ def multi_device_kernel_ns(
     *specs*, either ``None`` (zero share) or ``(sub_global_size,
     n_items, ns)`` where *ns* is that device's simulated kernel time
     for its slice — warp maxima folded with its own SIMD width,
-    work-groups scheduled over its own compute units.
+    work-groups scheduled over its own compute units.  The NDRange runs
+    on the vectorised tier when it can (see :func:`dispatch_kernel_ns`),
+    otherwise on the per-item ``run_range`` engine.
     """
-    item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
+    ops = _vec_item_ops(runner, raw_args, gsz, lsz)
+    if ops is None:
+        ops = runner.run_range(_listify(raw_args), gsz, lsz)
+        fold = group_warp_costs
+    else:
+        fold = _npc.fold_group_warps
     row_items = 1
     for s in gsz[:-1]:
         row_items *= s
@@ -360,7 +367,7 @@ def multi_device_kernel_ns(
         lo = group_base * slice_items
         hi = (group_base + share) * slice_items
         sub_gsz = tuple(gsz[:-1]) + (share * lsz[-1],)
-        warps = group_warp_costs(item_ops[lo:hi], sub_gsz, lsz, spec.simd_width)
+        warps = fold(ops[lo:hi], sub_gsz, lsz, spec.simd_width)
         ns = spec.kernel_ns_from_group_warps(warps)
         out.append((sub_gsz, hi - lo, ns))
         group_base += share

@@ -20,16 +20,11 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from ..errors import CLInvalidValue, CLMemObjectReleased
 from .context import Context
 from .costmodel import ELEMENT_BYTES
-
-try:  # the vectorised execution tier is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 _buffer_ids = itertools.count(1)
 
@@ -43,13 +38,16 @@ _ZERO = {"float": 0.0, "int": 0, "bool": False}
 
 
 def np_dtype(dtype: str):
-    """NumPy dtype for a buffer element type (requires numpy)."""
-    assert _np is not None
+    """NumPy dtype for a buffer element type."""
     return {"float": _np.float64, "int": _np.int64, "bool": _np.bool_}[dtype]
 
 
 class Buffer:
-    """A device-resident 1-D array of scalars."""
+    """A device-resident 1-D array of scalars.
+
+    Only the caller's references keep a buffer alive: its context
+    tracks it weakly, released or not.
+    """
 
     def __init__(
         self,
@@ -69,7 +67,7 @@ class Buffer:
         #: every context, which makes it a run-stable identity — the
         #: fault-injection layer keys transfer decisions on it so a
         #: replayed run reproduces the same injections (faults.py).
-        self.ordinal = len(context._buffers)
+        self.ordinal = next(context._buffer_ordinals)
         self.context = context
         self.dtype = dtype
         self.n_elements = n_elements
@@ -94,7 +92,7 @@ class Buffer:
             self._list = list(host_data)
         else:
             self._list = [_ZERO[dtype]] * n_elements
-        context._buffers.append(self)
+        context._buffers[self.ordinal] = self
 
     # -- two-tier storage --------------------------------------------------
 
@@ -144,7 +142,6 @@ class Buffer:
         """The contents as a NumPy array (authoritative until the list
         tier is touched).  Callers that write through the view must call
         :meth:`mark_np_written`."""
-        assert _np is not None
         if self.context._fusion_pending:
             self.context.flush_pending()
         if not self._np_fresh:
@@ -172,10 +169,7 @@ class Buffer:
         self.check_alive()
         self.released = True
         self.data = []
-        try:
-            self.context._buffers.remove(self)
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        self.context._buffers.pop(self.ordinal, None)
 
     def __len__(self) -> int:
         return self.n_elements

@@ -3,7 +3,7 @@
 Every kernel can be priced three ways:
 
 * **interpreter reduction** (reference): ``run_range`` yields per-item
-  op counts which ``_group_warp_costs`` folds into per-group warp
+  op counts which ``group_warp_costs`` folds into per-group warp
   maxima;
 * **scalar warp-fold**: the generated ``__warps_`` runner folds on the
   fly;
@@ -28,11 +28,8 @@ from repro.apps.mandelbrot import sources as mandelbrot_sources
 from repro.apps.matmul import sources as matmul_sources
 from repro.errors import KirRuntimeError
 from repro.kir import npcodegen
-from repro.opencl.costmodel import _group_warp_costs
+from repro.opencl.costmodel import group_warp_costs
 
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 SIMD = 8
 
@@ -70,7 +67,7 @@ def run_all_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD):
 
     ref_args = make_args(False)
     item_ops = runner.run_range(ref_args, gsz, lsz)
-    ref_warps = _group_warp_costs(item_ops, gsz, lsz, simd)
+    ref_warps = group_warp_costs(item_ops, gsz, lsz, simd)
 
     fold_args = make_args(False)
     fold_warps = runner.run_group_warps(fold_args, gsz, lsz, simd)
@@ -222,7 +219,7 @@ class TestWarpFolding:
         ([12, 6, 2], [2, 3, 1]),
     ])
     def test_fold_matches_reference_partition(self, gsz, lsz):
-        """fold_group_warps must reproduce _group_warp_costs' grouping
+        """fold_group_warps must reproduce group_warp_costs' grouping
         for multi-dimensional local sizes, where linear item order is
         *not* group-major."""
         np = _np()
@@ -233,7 +230,7 @@ class TestWarpFolding:
         ops = np.array([rng.randrange(1, 100) for _ in range(nitems)],
                        dtype=np.int64)
         got = npcodegen.fold_group_warps(ops, gsz, lsz, SIMD)
-        want = _group_warp_costs(ops.tolist(), gsz, lsz, SIMD)
+        want = group_warp_costs(ops.tolist(), gsz, lsz, SIMD)
         assert got == want
 
     def test_two_dimensional_kernel_end_to_end(self):

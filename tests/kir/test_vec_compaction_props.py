@@ -12,17 +12,12 @@ reports.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernelc
-from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl import dispatch
 
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 N = 256  # >= dispatch.VEC_MIN_ITEMS so the full path takes the vec tier
 LSZ = 8

@@ -21,12 +21,9 @@ from repro.apps.reduction import sources as reduction_sources
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl import dispatch
-from repro.opencl.costmodel import _group_warp_costs
+from repro.opencl.costmodel import group_warp_costs
 from repro.trace import tracing
 
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 SIMD = 8
 
@@ -72,7 +69,7 @@ def run_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD,
 
     ref_args = make_args(False)
     item_ops = runner.run_range(ref_args, gsz, lsz)
-    ref_warps = _group_warp_costs(item_ops, gsz, lsz, simd)
+    ref_warps = group_warp_costs(item_ops, gsz, lsz, simd)
 
     if not runner.group_mode:
         fold_args = make_args(False)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.opencl.costmodel import (
     CostLedger,
     SimClock,
-    _group_warp_costs,
+    group_warp_costs,
     _schedule,
     cpu_spec,
     gpu_spec,
@@ -15,29 +15,29 @@ from repro.opencl.costmodel import (
 
 class TestWarpGrouping:
     def test_uniform_items_one_group(self):
-        warps = _group_warp_costs([5] * 8, [8], [8], simd=4)
+        warps = group_warp_costs([5] * 8, [8], [8], simd=4)
         assert warps == [[5, 5]]
 
     def test_divergence_pays_warp_max(self):
-        warps = _group_warp_costs([1, 100, 1, 1], [4], [4], simd=4)
+        warps = group_warp_costs([1, 100, 1, 1], [4], [4], simd=4)
         assert warps == [[100]]
 
     def test_groups_partition_linear_items(self):
         # 8 items, 2 groups of 4, simd 2.
         item_ops = [1, 2, 3, 4, 10, 20, 30, 40]
-        warps = _group_warp_costs(item_ops, [8], [4], simd=2)
+        warps = group_warp_costs(item_ops, [8], [4], simd=2)
         assert warps == [[2, 4], [20, 40]]
 
     def test_2d_grouping_respects_tiles(self):
         # 4x2 range with 2x2 tiles: two groups.
         #   items row0: a b c d / row1: e f g h
         item_ops = [1, 2, 3, 4, 5, 6, 7, 8]
-        warps = _group_warp_costs(item_ops, [4, 2], [2, 2], simd=4)
+        warps = group_warp_costs(item_ops, [4, 2], [2, 2], simd=4)
         # group 0 holds (0,0),(1,0),(0,1),(1,1) = 1,2,5,6
         assert sorted(map(max, warps)) == [6, 8]
 
     def test_item_count_preserved(self):
-        warps = _group_warp_costs(list(range(24)), [6, 4], [3, 2], simd=2)
+        warps = group_warp_costs(list(range(24)), [6, 4], [3, 2], simd=2)
         total_items = sum(
             len(w) for group in warps for w in [group]
         )
@@ -170,7 +170,7 @@ def test_property_makespan_bounds(ops, cus):
 )
 def test_property_warp_max_dominates(item_ops, simd):
     """Total warp-priced work is >= the true total / simd and >= max."""
-    warps = _group_warp_costs(item_ops, [8], [8], simd)
+    warps = group_warp_costs(item_ops, [8], [8], simd)
     priced = sum(sum(w) * simd for w in warps)
     assert priced >= sum(item_ops)
     if any(item_ops):

@@ -15,7 +15,7 @@ from repro.opencl.costmodel import (
     DeviceSpec,
     cpu_spec,
     gpu_spec,
-    _group_warp_costs,
+    group_warp_costs,
     _schedule,
 )
 
@@ -154,7 +154,7 @@ class TestWarpDivergence:
 
     def test_group_warp_costs_unit_example(self):
         # two groups of 4, simd 2: warps (3,1) (4,4) / (0,2) (5,0)
-        warps = _group_warp_costs(
+        warps = group_warp_costs(
             [3, 1, 4, 4, 0, 2, 5, 0], (8,), (4,), 2
         )
         assert warps == [[3, 4], [2, 5]]

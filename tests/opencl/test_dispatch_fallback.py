@@ -5,17 +5,12 @@ buffers."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import kcache
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl import dispatch
 from repro.trace import tracing
 
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 ELIGIBLE = """
 __kernel void add1(__global int *a) {

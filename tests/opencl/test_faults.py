@@ -214,6 +214,24 @@ class TestTransferFaults:
         assert tracer.counters()["fault.retry"] == 2  # attempts 2 and 3
 
 
+class TestBufferOrdinals:
+    def test_ordinal_not_reused_after_release(self):
+        """Transfer fault keys are ``buf<ordinal>``: a buffer created
+        after a release must not inherit a live buffer's key."""
+        _, context, queue = gpu_context()
+        b0 = cl.Buffer(context, 4, dtype="int")
+        b1 = cl.Buffer(context, 4, dtype="int")
+        b0.release()
+        b2 = cl.Buffer(context, 4, dtype="int")
+        assert [b0.ordinal, b1.ordinal, b2.ordinal] == [0, 1, 2]
+        dispatch.configure(
+            faults=FaultPlan([FaultSpec("h2d", kind=PERMANENT, key="buf1")])
+        )
+        queue.enqueue_write_buffer(b2, [1, 2, 3, 4])
+        with pytest.raises(CLTransferFailure):
+            queue.enqueue_write_buffer(b1, [1, 2, 3, 4])
+
+
 class TestKernelAndApiFaults:
     def test_kernel_fault_raises_out_of_resources(self):
         dispatch.configure(

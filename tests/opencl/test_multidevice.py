@@ -9,14 +9,21 @@ width) plus the broadcast/gather transfer traffic of joining the split.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro import kcache
+from repro.kir import KernelRunner, npcodegen
 from repro.opencl import (
     Buffer,
     COPY_HOST_PTR,
     Context,
     Program,
     READ_WRITE,
+    dispatch,
+    faults,
     group_warp_costs,
 )
 from repro.opencl.costmodel import cpu_spec, gpu_spec
@@ -25,6 +32,7 @@ from repro.opencl.dispatch import (
     multi_device_kernel_ns,
     split_share_counts,
 )
+from repro.opencl.faults import TRANSIENT, FaultPlan, FaultSpec
 from repro.opencl.platform import Device
 from repro.errors import CLInvalidValue
 from repro.trace import tracing
@@ -205,3 +213,177 @@ class TestMultiDeviceKernelNs:
                 sub_gsz, n_items, ns = part
                 assert sub_gsz == (N, share * 8)
                 assert ns > 0
+
+
+# A 2-D barrier kernel over 4x4 groups: per-item trip counts follow the
+# data, so folding the group-major op order the scalar engine reports as
+# if it were linear (its pricing quirk) gives different warp maxima than
+# folding linear order would.
+TILE_SCAN = """
+__kernel void tile_scan(__global int *data, __global int *out, int w) {
+    int x = get_global_id(0);
+    int y = get_global_id(1);
+    int slot = get_local_id(1) * 4 + get_local_id(0);
+    __local int tile[16];
+    tile[slot] = data[y * w + x];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    int acc = 0;
+    for (int j = 0; j <= tile[slot] % 7; j++) { acc += tile[j]; }
+    out[y * w + x] = acc;
+}
+"""
+
+# Lane-dependent trip counts make the loop masked (subject to the
+# iteration cap), and stores inside it would leave partial sums behind
+# if a cap abort did not restore the buffer.
+CAPPED_LOOP = """
+__kernel void accum(__global int *out) {
+    int i = get_global_id(0);
+    for (int j = 0; j < i % 7 + 5; j++) {
+        out[i] = out[i] + 1;
+    }
+}
+"""
+
+
+@pytest.fixture
+def per_item_runs(monkeypatch):
+    """One entry per call of the per-item engine: whether legacy
+    execution was forced at the time."""
+    calls = []
+    run_range = KernelRunner.run_range
+
+    def recording(self, *args):
+        calls.append(dispatch.use_legacy())
+        return run_range(self, *args)
+
+    monkeypatch.setattr(KernelRunner, "run_range", recording)
+    return calls
+
+
+def _split_parts(source, name, gsz, lsz, args, legacy=False):
+    """Run ``multi_device_kernel_ns`` for one GPU+CPU split.
+
+    List arguments become buffers.  Returns the per-device parts, every
+    buffer's contents afterwards, and the tracer of the dispatch.
+    """
+    gpu, cpu = _gpu(), _cpu()
+    ctx = Context([gpu, cpu])
+    kernel = Program(ctx, source).build([gpu, cpu]).create_kernel(name)
+    bufs = []
+    for index, arg in enumerate(args):
+        if isinstance(arg, list):
+            dtype = "float" if isinstance(arg[0], float) else "int"
+            arg = Buffer(ctx, len(arg), dtype,
+                         flags=(READ_WRITE, COPY_HOST_PTR), host_data=arg)
+            bufs.append(arg)
+        kernel.set_arg(index, arg)
+    shares = split_share_counts(
+        gsz[-1] // lsz[-1], [device_weight(gpu.spec), device_weight(cpu.spec)]
+    )
+    assert all(shares)  # both devices take part
+    dispatch.set_legacy_execution(legacy)
+    try:
+        with tracing() as tr:
+            parts = multi_device_kernel_ns(
+                kernel.runner(gpu), [gpu.spec, cpu.spec], shares,
+                kernel.bound_entries(ctx), gsz, lsz,
+            )
+    finally:
+        dispatch.set_legacy_execution(False)
+    return parts, [list(b.data) for b in bufs], tr
+
+
+def _agrees_with_legacy(*case):
+    """Split *case* on the tier ladder and on the forced per-item
+    engine; parts and buffers must be identical.  Returns the tracer of
+    the tier-ladder run."""
+    parts, contents, tr = _split_parts(*case)
+    want_parts, want_contents, _ = _split_parts(*case, legacy=True)
+    assert parts == want_parts
+    assert contents == want_contents
+    return tr
+
+
+class TestSplitTierAgreement:
+    """A split dispatch takes the single-device tier ladder, and every
+    device's priced slice matches the per-item engine exactly."""
+
+    def test_matmul_runs_vectorised(self, per_item_runs):
+        a, b = generate(N)
+        tr = _agrees_with_legacy(
+            KERNEL_SOURCE, "matmul", (N, N), (8, 8), [a, b, [0.0] * N * N, N]
+        )
+        assert tr.counter("dispatch.fallback") == 0
+        assert per_item_runs == [True]  # only the forced-legacy run
+
+    def test_barrier_kernel_keeps_group_major_order(self, per_item_runs):
+        w, h = 16, 32
+        data = [(i * 37 + 11) % 23 for i in range(w * h)]
+        tr = _agrees_with_legacy(
+            TILE_SCAN, "tile_scan", (w, h), (4, 4), [data, [0] * (w * h), w]
+        )
+        assert tr.counter("dispatch.fallback") == 0
+        assert per_item_runs == [True]
+
+    def test_iteration_cap_restores_buffers_and_demotes(
+        self, monkeypatch, per_item_runs
+    ):
+        kcache.clear()  # build under the tiny cap
+        monkeypatch.setattr(npcodegen, "LOOP_ITER_CAP", 3)
+        try:
+            tr = _agrees_with_legacy(
+                CAPPED_LOOP, "accum", (512,), (8,), [[3] * 512]
+            )
+        finally:
+            kcache.clear()  # no later test may reuse the capped build
+        assert tr.counter("dispatch.fallback") == 1
+        assert tr.counter("dispatch.fallback.iter-cap") == 1
+        assert per_item_runs == [False, True]
+
+    def test_vec_fault_demotes(self, per_item_runs):
+        a, b = generate(N)
+        dispatch.configure(
+            faults=FaultPlan([FaultSpec("vec", kind=TRANSIENT)])
+        )
+        try:
+            tr = _agrees_with_legacy(
+                KERNEL_SOURCE, "matmul", (N, N), (8, 8),
+                [a, b, [0.0] * N * N, N],
+            )
+        finally:
+            faults.clear()
+        assert tr.counter("dispatch.fallback") == 1
+        assert tr.counter("dispatch.fallback.fault") == 1
+        assert per_item_runs == [False, True]
+
+    def test_small_ndrange_demotes(self, per_item_runs):
+        n = 8  # 64 work-items, under dispatch.VEC_MIN_ITEMS
+        a, b = generate(n)
+        tr = _agrees_with_legacy(
+            KERNEL_SOURCE, "matmul", (n, n), (2, 2), [a, b, [0.0] * n * n, n]
+        )
+        assert tr.counter("dispatch.fallback") == 1
+        assert tr.counter("dispatch.fallback.small-ndrange") == 1
+        assert per_item_runs == [False, True]
+
+
+class TestBufferLifetime:
+    def test_unreleased_context_frees_buffers_by_refcount(self):
+        """A context dropped without ``release()`` does not pin its
+        buffers: they die with the caller's last reference, with no
+        cyclic garbage collection."""
+
+        def split_and_drop():
+            gpu, cpu = _gpu(), _cpu()
+            ctx = Context([gpu, cpu])
+            kernel, bufs = _matmul(ctx, [gpu, cpu])
+            ctx.enqueue_nd_range(kernel, [N, N], [8, 8])
+            return [weakref.ref(buf) for buf in bufs]
+
+        gc.disable()
+        try:
+            refs = split_and_drop()
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
