@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..errors import TypeCheckError
 from . import ast
@@ -110,9 +109,6 @@ class StructInfo:
             if name == fname:
                 return typ
         raise TypeCheckError(f"struct {self.name} has no field {fname!r}")
-
-    def has_field(self, fname: str) -> bool:
-        return any(name == fname for name, _ in self.fields)
 
 
 @dataclass

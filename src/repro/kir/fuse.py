@@ -69,18 +69,6 @@ def uses_geometry_builtins(fn: ir.Function) -> bool:
     return False
 
 
-def declares_local_array(fn: ir.Function) -> bool:
-    """Whether *fn* declares ``__local`` storage (group-mode execution)."""
-    for p in fn.params:
-        if isinstance(p.type, ir.ArrayType) and p.type.space == ir.LOCAL:
-            return True
-    for st in ir.walk_stmts(fn.body):
-        if isinstance(st, ir.Decl) and isinstance(st.type, ir.ArrayType):
-            if st.type.space == ir.LOCAL:
-                return True
-    return False
-
-
 def _is_gid0(e: ir.Expr, aliases: set[str]) -> bool:
     if isinstance(e, ir.Var):
         return e.name in aliases

@@ -1,10 +1,10 @@
 """Reference interpreter for kernel IR.
 
 This is the slow, exact engine: it walks the IR tree per work-item,
-counting every operation.  The fast path is :mod:`repro.kir.pycodegen`;
-tests cross-check the two.  The interpreter is also the engine used to
-run work-items of kernels that contain barriers inside the generator
-scheduler of :mod:`repro.opencl.device` when codegen is disabled.
+counting every operation.  Kernel dispatches run on the generated
+engines (:mod:`repro.kir.pycodegen`, :mod:`repro.kir.npcodegen`); the
+interpreter is the oracle tests cross-check them against, and it runs
+the OpenACC host code.
 
 Semantics
 ---------
@@ -319,7 +319,7 @@ class Interpreter:
                 return wi.dim
             d = self._eval(e.args[0], env, wi)
             if not 0 <= d < wi.dim:
-                return 0 if name.startswith("get_global_id") else 1
+                return 0 if name.endswith("_id") else 1
             return {
                 "get_global_id": wi.gid,
                 "get_local_id": wi.lid,

@@ -39,9 +39,9 @@ changing anything observable:
   into a contiguous array via ``np.flatnonzero`` and runs subsequent
   rounds at the compacted width, scattering results back to full width
   on exit.  Charging, mask subtraction and the iteration cap are
-  bit-identical to the full-width path; the thresholds are read at run
-  time (see :func:`repro.opencl.dispatch.configure`), so cached
-  kernels honour later configuration changes.
+  bit-identical to the full-width path; the thresholds are module
+  constants read at run time, so a test that patches them reaches
+  cached kernels too.
 * **Common-subexpression elimination** — pure ``ir.Expr`` subtrees are
   hashed per masked region at codegen time and repeated occurrences
   (e.g. a loop condition's ``x*x + y*y`` reused in its body) become
@@ -57,13 +57,13 @@ construction: charges derive from static IR costs, never from the
 numpy expressions actually emitted.
 
 Kernels the tier still refuses (reason strings surface as
-``dispatch.fallback.<reason>`` trace counters): ``get_work_dim``
-(``work-dim``), non-variable array bases (``array-expr``), variant
-array sizes (``array-size``), local arrays declared below the kernel's
-top level (``local-array``), barriers under divergent control flow or
-early return in a barrier kernel (``barrier``), impure or recursive
-user calls (``user-call``), and division or loads inside speculatively
-evaluated select / short-circuit operands (``speculative``).
+``dispatch.fallback.<reason>`` trace counters): non-variable array
+bases (``array-expr``), variant array sizes (``array-size``), local
+arrays declared below the kernel's top level (``local-array``),
+barriers under divergent control flow or early return in a barrier
+kernel (``barrier``), impure or recursive user calls (``user-call``),
+and division or loads inside speculatively evaluated select /
+short-circuit operands (``speculative``).
 
 Known semantic deltas of the vector tier (documented, none observable
 in race-free kernels): int64 wrap-around instead of Python big ints,
@@ -110,9 +110,8 @@ class VecIterationCap(Exception):
 
 #: Live-lane density below which a compactible masked loop compresses
 #: to its active lanes.  ``0.0`` disables compaction; ``1.0`` compacts
-#: as soon as any lane has exited.  Mutated via
-#: :func:`repro.opencl.dispatch.configure`; read at run time by
-#: generated kernels, so the setting applies to already-compiled code.
+#: as soon as any lane has exited.  Read at run time by generated
+#: kernels, so patching it applies to already-compiled code.
 COMPACT_DENSITY = 0.5
 
 #: How many loop rounds pass between density checks (the first round of
@@ -304,9 +303,8 @@ def _should_compact(rounds: int, act: Any) -> bool:
 
     Checked at the top of every loop round: fires every
     :data:`COMPACT_CHECK_EVERY` rounds when the live-lane density of
-    *act* has dropped below :data:`COMPACT_DENSITY`.  Reads the module
-    configuration at call time so
-    :func:`repro.opencl.dispatch.configure` affects kernels that were
+    *act* has dropped below :data:`COMPACT_DENSITY`.  Reads both
+    constants at call time, so patching them reaches kernels that were
     compiled (and cached process-wide) earlier.
     """
     if COMPACT_DENSITY <= 0.0:
@@ -634,13 +632,7 @@ def _body_reason(
             if isinstance(e, ir.Index) and not isinstance(e.base, ir.Var):
                 return "array-expr"
             if isinstance(e, ir.Call):
-                if e.name == "get_work_dim":
-                    return "work-dim"
-                if e.name in ir.WORKITEM_BUILTINS:
-                    if not e.args or not isinstance(e.args[0], ir.Const):
-                        return "work-dim"
-                    continue
-                if e.name in _NP_MATH:
+                if e.name in ir.WORKITEM_BUILTINS or e.name in _NP_MATH:
                     continue
                 reason = _call_reason(module, e, stack)
                 if reason:
@@ -665,14 +657,6 @@ def eligibility(module: ir.Module, fn: ir.Function) -> Optional[str]:
     variant = _variant_vars(module, fn)
     expr_variant = _make_expr_variant(module, variant)
 
-    def invariant(e: Optional[ir.Expr]) -> bool:
-        if e is None:
-            return False
-        return not expr_variant(e) and not any(
-            isinstance(n, ir.Call) and n.name == "get_work_dim"
-            for n in ir.walk_exprs(e)
-        )
-
     top_locals = {
         st.name
         for st in fn.body
@@ -682,7 +666,7 @@ def eligibility(module: ir.Module, fn: ir.Function) -> Optional[str]:
     }
     for st in ir.walk_stmts(fn.body):
         if isinstance(st, ir.Decl) and isinstance(st.type, ir.ArrayType):
-            if st.size is None or not invariant(st.size):
+            if st.size is None or expr_variant(st.size):
                 return "array-size"
             if st.type.space == ir.LOCAL and st.name not in top_locals:
                 return "local-array"
@@ -973,6 +957,8 @@ class _VecCompiler:
         return f"({left} {op} {right})"
 
     def _call(self, e: ir.Call) -> str:
+        if e.name == "get_work_dim":
+            return "__dim"
         if e.name in ir.WORKITEM_BUILTINS:
             d = int(e.args[0].value)  # type: ignore[attr-defined]
             if not 0 <= d < _MAX_DIMS:
@@ -1523,7 +1509,7 @@ def _gen_vec_kernel(
     used = _used_workitem_vars(fn)
     params = [f"v_{p.name}" for p in fn.params]
     has_locals = bool(_local_decls(fn))
-    em.emit(f"def __vec_{fn.name}(__args, __gsz, __lsz):")
+    em.emit(f"def __vec_{fn.name}(__args, __gsz, __lsz, __dim):")
     em.indent += 1
     if params:
         em.emit(f"({', '.join(params)},) = __args")
@@ -1613,7 +1599,8 @@ def _fold_perm(g: tuple, l: tuple, nitems: int) -> Any:
 def fold_group_warps(
     ops: Any, gsz: Sequence[int], lsz: Sequence[int], simd: int
 ) -> list[list[int]]:
-    """Reduce a per-item op vector to per-group warp maxima.
+    """Reduce a per-item op vector (numpy array or list) to per-group
+    warp maxima.
 
     Reproduces ``costmodel.group_warp_costs`` exactly: items are
     regrouped from linear (dim0-fastest) order into intra-group arrival
@@ -1621,6 +1608,7 @@ def fold_group_warps(
     short-warp tail pads with zeros, which cannot change a maximum of
     non-negative op counts.
     """
+    ops = _np.asarray(ops)
     g = _pad3(gsz)
     l = _pad3(lsz)
     n0, n1, n2 = g[0] // l[0], g[1] // l[1], g[2] // l[2]
@@ -1682,7 +1670,7 @@ class VecKernel:
         # Masked-off lanes may compute garbage that is discarded; only
         # the mask-aware helpers turn *active* faults into errors.
         with _np.errstate(all="ignore"):
-            ops = self._run(tuple(args), g, l)
+            ops = self._run(tuple(args), g, l, len(gsz))
         if self.group_major and (l[1] != 1 or l[2] != 1):
             # The scalar group engine emits item ops in group-major
             # order and prices them as if linear; mimic by scattering
@@ -1737,9 +1725,3 @@ def vectorize_kernel_info(
     except Exception:
         return None, "codegen-error"
 
-
-def vectorize_kernel(
-    module: ir.Module, fn: ir.Function
-) -> Optional[VecKernel]:
-    """Compile *fn* to a :class:`VecKernel`, or None if ineligible."""
-    return vectorize_kernel_info(module, fn)[0]

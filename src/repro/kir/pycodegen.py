@@ -6,14 +6,19 @@ each IR module we generate one Python source text containing:
 * ``f_<name>`` for every helper/host function.  Convention: the first
   parameter is the running op counter; the function returns
   ``(value, ops)`` so dynamic operation counts flow back to the caller.
-* ``__item_<kernel>`` + ``__run_<kernel>`` for kernels without barriers
-  or local memory ("range mode"): the runner iterates the NDRange and
-  returns a list of per-work-item op counts (the cost model prices warps
-  from these).
+* ``__warps_<kernel>`` for kernels without barriers or local memory
+  ("range mode"): the warp-fold runner iterates the NDRange group by
+  group and folds per-item op counts into per-group warp maxima, the
+  only granularity the cost model prices.  At SIMD width 1 it yields
+  one op count per item (:meth:`KernelRunner.run_range`).  Kernels that
+  ``return`` early also get an ``__item_<kernel>`` function it calls.
 * ``__wi_<kernel>`` + ``__locals_<kernel>`` for kernels with barriers or
   local memory ("group mode"): a per-work-item *generator* that yields at
   every barrier, plus an allocator for the group's local arrays.  The
   device drives all items of a group in lock-step.
+
+Every runner receives the dispatch's real dimension count as ``__dim``
+(``get_work_dim()``); the size tuples it gets are padded to 3-D.
 
 Operation counts are aggregated per straight-line block (one ``__ops +=
 N`` per run of simple statements), so they match the reference
@@ -24,7 +29,9 @@ and op counts agree within a small tolerance.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
+
+import numpy as _np
 
 from ..errors import KirError, KirRuntimeError
 from . import ir
@@ -45,12 +52,6 @@ def _runtime_mod(a: Any, b: Any) -> Any:
     if isinstance(a, int) and isinstance(b, int):
         return c_imod(a, b)
     return math.fmod(a, b)
-
-
-def _checked_load(arr: Sequence, idx: int) -> Any:
-    if idx < 0 or idx >= len(arr):
-        raise KirRuntimeError(f"load index {idx} out of range (len {len(arr)})")
-    return arr[idx]
 
 
 _GLOBALS_BASE: dict[str, Any] = {
@@ -445,19 +446,17 @@ class KernelRunner:
     def __init__(
         self,
         fn: ir.Function,
-        run_range: Optional[Callable] = None,
+        run_warps: Optional[Callable] = None,
         wi_factory: Optional[Callable] = None,
         locals_factory: Optional[Callable] = None,
-        run_warps: Optional[Callable] = None,
     ) -> None:
         self.fn = fn
         self.name = fn.name
-        self.group_mode = run_range is None
+        self.group_mode = run_warps is None
         self.has_barrier = ir.has_barrier(fn)
-        self._run_range = run_range
+        self._run_warps = run_warps
         self._wi_factory = wi_factory
         self._locals_factory = locals_factory
-        self._run_warps = run_warps
         #: vectorised batch executor (:mod:`repro.kir.npcodegen`), or
         #: None when the kernel is not vectorisable
         self.vec = None
@@ -472,19 +471,26 @@ class KernelRunner:
             and p.name in ir.written_arrays(fn)
         )
 
-    # -- range mode -------------------------------------------------------
-
     def run_range(
         self, args: Sequence[Any], gsz: Sequence[int], lsz: Sequence[int]
     ) -> list[int]:
-        """Execute the full NDRange; returns per-item op counts in linear
-        (row-major, dim0 fastest) order."""
-        if self.group_mode:
-            return self._run_groups(args, gsz, lsz)
+        """Execute the full NDRange; returns per-item op counts.
+
+        Range-mode kernels run on the warp-fold at SIMD width 1, and the
+        counts come back in linear (row-major, dim0 fastest) order.
+        Group-mode kernels list them in the lock-step engine's
+        group-major visit order, the order their pricing folds."""
         g = _pad3(gsz)
         l = _pad3(lsz)
-        assert self._run_range is not None
-        return self._run_range(tuple(args), g, l)
+        if self.group_mode:
+            return self._run_groups(tuple(args), g, l, len(gsz))
+        groups = self._run_warps(tuple(args), g, l, 1, len(gsz))
+        ops = [w for warps in groups for w in warps]
+        if l[1] == 1 and l[2] == 1:
+            return ops  # group-major order is already linear
+        from .npcodegen import _fold_perm  # imports this module
+
+        return _np.asarray(ops)[_fold_perm(g, l, len(ops))].tolist()
 
     def run_group_warps(
         self,
@@ -497,17 +503,14 @@ class KernelRunner:
         warp maxima on the fly (the only granularity the cost model's
         divergence rule consumes).  Range-mode kernels only."""
         assert self._run_warps is not None
-        return self._run_warps(tuple(args), _pad3(gsz), _pad3(lsz), simd)
-
-    # -- group mode -------------------------------------------------------
+        return self._run_warps(
+            tuple(args), _pad3(gsz), _pad3(lsz), simd, len(gsz)
+        )
 
     def _run_groups(
-        self, args: Sequence[Any], gsz: Sequence[int], lsz: Sequence[int]
+        self, args_t: tuple, g: tuple, l: tuple, dim: int
     ) -> list[int]:
-        g = _pad3(gsz)
-        l = _pad3(lsz)
         ngrp = tuple(a // b for a, b in zip(g, l))
-        args_t = tuple(args)
         assert self._wi_factory is not None and self._locals_factory is not None
         wi = self._wi_factory
         mk_locals = self._locals_factory
@@ -522,7 +525,7 @@ class KernelRunner:
         for gz in range(ngrp[2]):
             for gy in range(ngrp[1]):
                 for gx in range(ngrp[0]):
-                    local_mem = mk_locals(args_t, g, l, ngrp)
+                    local_mem = mk_locals(args_t, g, l, ngrp, dim)
                     grp = (gx, gy, gz)
                     slot = 0
                     for lz in range(l[2]):
@@ -542,6 +545,7 @@ class KernelRunner:
                                     l,
                                     ngrp,
                                     local_mem,
+                                    dim,
                                 )
                                 slot += 1
                     item_ops.extend(drive(gens, group_items))
@@ -617,9 +621,7 @@ class CompiledModule:
                 )
             else:
                 runner = KernelRunner(
-                    fn,
-                    run_range=self.namespace[f"__run_{fn.name}"],
-                    run_warps=self.namespace[f"__warps_{fn.name}"],
+                    fn, run_warps=self.namespace[f"__warps_{fn.name}"]
                 )
             runner.vec, runner.vec_reason = vectorize_kernel_info(module, fn)
             self._runners[fn.name] = runner
@@ -662,25 +664,6 @@ def _gen_host_fn(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
     em.emit("")
 
 
-def _id_exprs(used: set[tuple[str, int]]) -> dict[tuple[str, int], str]:
-    """Expressions (in runner-loop scope) for each used work-item var."""
-    out: dict[tuple[str, int], str] = {}
-    for name, d in used:
-        if name == "get_global_id":
-            out[(name, d)] = f"__g{d}"
-        elif name == "get_local_id":
-            out[(name, d)] = f"__g{d} % __L{d}"
-        elif name == "get_group_id":
-            out[(name, d)] = f"__g{d} // __L{d}"
-        elif name == "get_global_size":
-            out[(name, d)] = f"__G{d}"
-        elif name == "get_local_size":
-            out[(name, d)] = f"__L{d}"
-        elif name == "get_num_groups":
-            out[(name, d)] = f"__N{d}"
-    return out
-
-
 def _gen_kernel(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
     if ir.has_barrier(fn) or _local_decls(fn):
         _gen_group_kernel(module, fn, em)
@@ -689,70 +672,38 @@ def _gen_kernel(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
 
 
 def _gen_range_kernel(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
-    used = _used_workitem_vars(fn)
-    id_map = _id_exprs(used)
-    wi_params = [f"{_WI_VARS[name]}{d}" for (name, d) in sorted(used)]
-    params = [f"v_{p.name}" for p in fn.params]
-    all_params = ", ".join(params + wi_params)
+    """The warp-fold runner of a range-mode kernel.
 
-    em.emit(f"def __item_{fn.name}({all_params}):")
-    em.indent += 1
-    em.emit("__ops = 0")
-    comp = _FnCompiler(module, fn, em, mode="item", used_wi=used)
-    comp.block(fn.body)
-    em.emit("return __ops")
-    em.indent -= 1
-    em.emit("")
-
-    em.emit(f"def __run_{fn.name}(__args, __gsz, __lsz):")
-    em.indent += 1
-    if params:
-        em.emit(f"({', '.join(params)},) = __args")
-    for d in range(_MAX_DIMS):
-        em.emit(f"__G{d} = __gsz[{d}]")
-        em.emit(f"__L{d} = __lsz[{d}]")
-        em.emit(f"__N{d} = __G{d} // __L{d}")
-    em.emit("__item_ops = []")
-    em.emit("__ap = __item_ops.append")
-    em.emit(f"__it = __item_{fn.name}")
-    em.emit("for __g2 in range(__G2):")
-    em.indent += 1
-    em.emit("for __g1 in range(__G1):")
-    em.indent += 1
-    em.emit("for __g0 in range(__G0):")
-    em.indent += 1
-    call_args = ", ".join(params + [id_map[key] for key in sorted(used)])
-    em.emit(f"__ap(__it({call_args}))")
-    em.indent -= 3
-    em.emit("return __item_ops")
-    em.indent -= 1
-    em.emit("")
-
-    _gen_warps_runner(module, fn, em, used)
-
-
-def _gen_warps_runner(
-    module: ir.Module,
-    fn: ir.Function,
-    em: _Emitter,
-    used: set[tuple[str, int]],
-) -> None:
-    """The batched fast path for a range-mode kernel.
-
-    ``__warps_<k>(__args, __gsz, __lsz, __simd)`` walks the NDRange in
-    the cost model's group/warp order with all index arithmetic hoisted
-    into the loop nest, folds per-item op counts into per-warp maxima as
-    it goes (the divergence rule never looks below warp granularity)
-    and returns one list of warp maxima per work-group — the millions of
-    intermediate Python ints of the ``__run_`` path never materialise.
-    The kernel body is inlined unless it early-returns, in which case
-    the per-item function is called instead.
+    ``__warps_<k>(__args, __gsz, __lsz, __simd, __dim)`` walks the
+    NDRange in the cost model's group/warp order with all index
+    arithmetic hoisted into the loop nest, folds per-item op counts into
+    per-warp maxima as it goes (the divergence rule never looks below
+    warp granularity) and returns one list of warp maxima per
+    work-group.  The kernel body is inlined unless it early-returns; in
+    that case it becomes ``__item_<k>``, whose parameters after the
+    kernel's own are exactly the loop-scope work-item variables it
+    reads, then ``__dim``.
     """
+    used = _used_workitem_vars(fn)
     params = [f"v_{p.name}" for p in fn.params]
     has_return = any(
         isinstance(st, ir.Return) for st in ir.walk_stmts(fn.body)
     )
-    em.emit(f"def __warps_{fn.name}(__args, __gsz, __lsz, __simd):")
+    item_params = ", ".join(
+        params + [f"{_WI_VARS[name]}{d}" for (name, d) in sorted(used)]
+        + ["__dim"]
+    )
+    if has_return:
+        em.emit(f"def __item_{fn.name}({item_params}):")
+        em.indent += 1
+        em.emit("__ops = 0")
+        comp = _FnCompiler(module, fn, em, mode="item", used_wi=used)
+        comp.block(fn.body)
+        em.emit("return __ops")
+        em.indent -= 1
+        em.emit("")
+
+    em.emit(f"def __warps_{fn.name}(__args, __gsz, __lsz, __simd, __dim):")
     em.indent += 1
     if params:
         em.emit(f"({', '.join(params)},) = __args")
@@ -778,11 +729,7 @@ def _gen_warps_runner(
         if ("get_global_id", d) in used:
             em.emit(f"__g{d} = __b{d} + __l{d}")
     if has_return:
-        # __item_'s work-item parameters are exactly the loop-scope vars.
-        call_args = ", ".join(
-            params + [f"{_WI_VARS[name]}{d}" for (name, d) in sorted(used)]
-        )
-        em.emit(f"__ops = __it({call_args})")
+        em.emit(f"__ops = __it({item_params})")
     else:
         em.emit("__ops = 0")
         comp = _FnCompiler(module, fn, em, mode="item", used_wi=used)
@@ -815,7 +762,9 @@ def _gen_group_kernel(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
     params = [f"v_{p.name}" for p in fn.params]
 
     # Allocator for group-shared local arrays.
-    em.emit(f"def __locals_{fn.name}(__args, __gsize, __lsize, __ngrp):")
+    em.emit(
+        f"def __locals_{fn.name}(__args, __gsize, __lsize, __ngrp, __dim):"
+    )
     em.indent += 1
     if params:
         em.emit(f"({', '.join(params)},) = __args")
@@ -838,7 +787,7 @@ def _gen_group_kernel(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
     # Per-work-item generator.
     em.emit(
         f"def __wi_{fn.name}(__args, __gid, __lid, __grp, "
-        "__gsize, __lsize, __ngrp, __locals):"
+        "__gsize, __lsize, __ngrp, __locals, __dim):"
     )
     em.indent += 1
     if params:

@@ -78,8 +78,9 @@ class DeviceSpec:
     ) -> float:
         """Price one NDRange dispatch from measured per-item op counts.
 
-        ``item_ops`` is in linear order (dim0 fastest), as produced by
-        the execution engine.
+        ``item_ops`` is in linear order (dim0 fastest).  Tests use this
+        as the reference price; dispatches themselves are priced through
+        :meth:`kernel_ns_from_group_warps`.
         """
         group_warps = group_warp_costs(
             item_ops, global_size, local_size, self.simd_width
@@ -113,10 +114,9 @@ def group_warp_costs(
 
     A warp is ``simd`` consecutive work-items of the same group (taken
     in linear intra-group order); its cost is the maximum of its lanes,
-    modelling lock-step divergence.  Public because the multi-device
-    dispatcher folds each device's NDRange slice separately (with that
-    device's SIMD width) — slicing at work-group boundaries keeps the
-    per-group folds bit-identical to a whole-range fold.
+    modelling lock-step divergence.  This pure-Python fold is the
+    reference that :func:`repro.kir.npcodegen.fold_group_warps`, which
+    folds every dispatch, is tested against.
     """
     g = list(global_size) + [1] * (3 - len(global_size))
     l = list(local_size) + [1] * (3 - len(local_size))

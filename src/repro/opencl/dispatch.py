@@ -13,16 +13,13 @@ fastest correct tier for each dispatch:
 * **scalar warp-fold** — the generated ``__warps_`` runner, which
   iterates items inline with hoisted index arithmetic and folds op
   counts into warp maxima on the fly (no per-item list).
-* **legacy** — the original ``__run_`` per-item path
-  (:meth:`repro.kir.KernelRunner.run_range`), kept as the reference;
-  selectable via :func:`set_legacy_execution` so benchmarks can measure
-  old vs new on the same workload.
 
 Group-mode kernels (barriers / local memory) are eligible for the
 vectorised tier too (barrier-phase execution with local arrays as numpy
-buffers); when ineligible they run the lock-step generator engine and
-are priced through ``DeviceSpec.kernel_ns`` unchanged.  All tiers
-produce identical warp maxima (tests assert it), so simulated
+buffers); when ineligible they run the lock-step generator engine,
+whose per-item op list is folded like the vectorised tier's.  All
+tiers produce identical warp maxima (tests assert it, against
+``DeviceSpec.kernel_ns`` as the pricing reference), so simulated
 nanoseconds never depend on the tier chosen.
 
 Every demotion from the vectorised tier is counted on the active tracer
@@ -46,11 +43,6 @@ The vectorised tier's two loop optimisations are observable here too:
   escape test shared between loop condition and body), counted per
   successful vectorised dispatch.
 
-:func:`configure` surfaces the compaction policy knobs
-(``compact_density``, ``compact_check_every``) without importing the
-codegen module; settings apply to already-compiled kernels because the
-generated code reads them at run time.
-
 The module also houses the **multi-device split** machinery
 (:func:`split_share_counts`, :func:`multi_device_kernel_ns`) used by
 :meth:`repro.opencl.context.Context.enqueue_nd_range`: one NDRange is
@@ -58,10 +50,10 @@ executed once, on the same tiers as a single-device dispatch, then its
 per-item op counts are sliced along the outermost dimension at
 work-group boundaries, and each device's slice is folded into warp
 maxima with *that device's* SIMD width and priced on its own spec.
-Only a demotion or forced legacy execution runs the per-item
-``run_range`` engine.  Deterministic, and bit-identical in buffer
-contents to single-device execution because only one execution ever
-happens.
+A demoted split gets its op list from
+:meth:`repro.kir.KernelRunner.run_range`.  Deterministic, and
+bit-identical in buffer contents to single-device execution because
+only one execution ever happens.
 """
 
 from __future__ import annotations
@@ -74,51 +66,26 @@ from ..kir import npcodegen as _npc
 from ..trace import current_tracer
 from . import faults as _faults
 from . import fusion as _fusion
-from .costmodel import DeviceSpec, group_warp_costs
+from .costmodel import DeviceSpec
 from .memory import Buffer
 
 #: Below this many work-items the scalar warp-fold runner beats the
 #: numpy tier on wall-clock (array setup dominates tiny dispatches).
 VEC_MIN_ITEMS = 256
 
-_legacy = False
-
-
-def set_legacy_execution(flag: bool) -> None:
-    """Force every dispatch through the original per-item path
-    (benchmarking aid; simulated costs are identical either way)."""
-    global _legacy
-    _legacy = bool(flag)
-
 
 def use_legacy() -> bool:
-    """Whether the legacy per-item execution path is forced on."""
-    return _legacy
+    """Always False: there is no forced legacy execution path.  Kept
+    because the benchmark harness checks it by name."""
+    return False
 
 
 _UNSET = object()
 
 
-def configure(
-    *,
-    compact_density: Optional[float] = None,
-    compact_check_every: Optional[int] = None,
-    faults=_UNSET,
-    retry=_UNSET,
-    fusion=_UNSET,
-) -> dict:
-    """Adjust the vectorised tier's lane-compaction policy, install or
-    clear the runtime-wide fault plan, and toggle the graph-level
-    dispatch optimiser.
-
-    ``compact_density`` is the live-lane fraction below which a masked
-    loop gathers itself to its active lanes (``0.0`` disables
-    compaction entirely, ``1.0`` compacts as soon as any lane exits);
-    ``compact_check_every`` is how many loop rounds pass between density
-    checks.  Both apply immediately to already-compiled kernels (the
-    generated code reads them at run time), and outputs plus priced
-    ledger totals are identical for every setting — only host wall-clock
-    changes.
+def configure(*, faults=_UNSET, retry=_UNSET, fusion=_UNSET) -> dict:
+    """Install or clear the runtime-wide fault plan and toggle the
+    graph-level dispatch optimiser.
 
     ``faults`` installs a :class:`repro.opencl.faults.FaultPlan` (or
     ``None`` to disable injection); ``retry`` installs a
@@ -133,20 +100,6 @@ def configure(
     to the unoptimised substrate.  See "Graph-level optimisation" in
     docs/ARCHITECTURE.md.  Returns the current settings as a dict.
     """
-    if compact_density is not None:
-        density = float(compact_density)
-        if not 0.0 <= density <= 1.0:
-            raise CLInvalidValue(
-                f"compact_density must be in [0.0, 1.0], got {compact_density!r}"
-            )
-        _npc.COMPACT_DENSITY = density
-    if compact_check_every is not None:
-        every = int(compact_check_every)
-        if every < 1:
-            raise CLInvalidValue(
-                f"compact_check_every must be >= 1, got {compact_check_every!r}"
-            )
-        _npc.COMPACT_CHECK_EVERY = every
     if faults is not _UNSET:
         if faults is not None and not isinstance(faults, _faults.FaultPlan):
             raise CLInvalidValue(
@@ -162,8 +115,6 @@ def configure(
     if fusion is not _UNSET:
         _fusion.set_enabled(bool(fusion))
     return {
-        "compact_density": _npc.COMPACT_DENSITY,
-        "compact_check_every": _npc.COMPACT_CHECK_EVERY,
         "faults": _faults.active_plan(),
         "retry": _faults.retry_policy(),
         "fusion": _fusion.enabled(),
@@ -215,11 +166,8 @@ def _vec_item_ops(
     Returns the per-item op vector in the order the scalar engine prices
     it (:meth:`repro.kir.npcodegen.VecKernel.run_item_ops`), or ``None``
     after counting ``dispatch.fallback.<reason>`` when a scalar tier
-    must run the dispatch instead.  Forced legacy execution also returns
-    ``None`` but counts nothing: the user asked for it.
+    must run the dispatch instead.
     """
-    if _legacy:
-        return None
     if runner.vec is None:
         _count_fallback(runner.vec_reason or "ineligible")
         return None
@@ -288,13 +236,13 @@ def dispatch_kernel_ns(
     otherwise.
     """
     ops = _vec_item_ops(runner, raw_args, gsz, lsz)
-    if ops is not None:
-        warps = _npc.fold_group_warps(ops, gsz, lsz, spec.simd_width)
-        return spec.kernel_ns_from_group_warps(warps)
-    args = _listify(raw_args)
-    if _legacy or runner.group_mode:
-        return spec.kernel_ns(runner.run_range(args, gsz, lsz), gsz, lsz)
-    warps = runner.run_group_warps(args, gsz, lsz, spec.simd_width)
+    if ops is None:
+        args = _listify(raw_args)
+        if not runner.group_mode:
+            warps = runner.run_group_warps(args, gsz, lsz, spec.simd_width)
+            return spec.kernel_ns_from_group_warps(warps)
+        ops = runner.run_range(args, gsz, lsz)
+    warps = _npc.fold_group_warps(ops, gsz, lsz, spec.simd_width)
     return spec.kernel_ns_from_group_warps(warps)
 
 
@@ -346,14 +294,11 @@ def multi_device_kernel_ns(
     for its slice — warp maxima folded with its own SIMD width,
     work-groups scheduled over its own compute units.  The NDRange runs
     on the vectorised tier when it can (see :func:`dispatch_kernel_ns`),
-    otherwise on the per-item ``run_range`` engine.
+    otherwise through :meth:`repro.kir.KernelRunner.run_range`.
     """
     ops = _vec_item_ops(runner, raw_args, gsz, lsz)
     if ops is None:
         ops = runner.run_range(_listify(raw_args), gsz, lsz)
-        fold = group_warp_costs
-    else:
-        fold = _npc.fold_group_warps
     row_items = 1
     for s in gsz[:-1]:
         row_items *= s
@@ -367,7 +312,9 @@ def multi_device_kernel_ns(
         lo = group_base * slice_items
         hi = (group_base + share) * slice_items
         sub_gsz = tuple(gsz[:-1]) + (share * lsz[-1],)
-        warps = fold(ops[lo:hi], sub_gsz, lsz, spec.simd_width)
+        warps = _npc.fold_group_warps(
+            ops[lo:hi], sub_gsz, lsz, spec.simd_width
+        )
         ns = spec.kernel_ns_from_group_warps(warps)
         out.append((sub_gsz, hi - lo, ns))
         group_base += share

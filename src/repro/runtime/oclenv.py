@@ -41,11 +41,6 @@ def set_out_of_order_queues(flag: bool) -> None:
     _out_of_order = bool(flag)
 
 
-def out_of_order_queues() -> bool:
-    """Whether the device matrix creates out-of-order queues."""
-    return _out_of_order
-
-
 @dataclass
 class OpenCLEnvironment:
     """Runtime metadata attached to each OpenCL actor (Section 6.2.2)."""

@@ -22,7 +22,7 @@ when passing arrays to kernels (Section 6.1.2).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import RuntimeFault
 from ..opencl import fusion
@@ -70,14 +70,6 @@ class ManagedArray:
         for dim in shape:
             n *= dim
         return cls([_ZERO[dtype]] * n, shape, dtype)
-
-    @classmethod
-    def from_flat(
-        cls, values: Iterable, shape: Sequence[int] | int, dtype: str = "float"
-    ) -> "ManagedArray":
-        if isinstance(shape, int):
-            shape = (shape,)
-        return cls(list(values), shape, dtype)
 
     @classmethod
     def from_nested(cls, nested: Sequence, dtype: str = "float") -> "ManagedArray":

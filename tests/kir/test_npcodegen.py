@@ -2,11 +2,11 @@
 
 Every kernel can be priced three ways:
 
-* **interpreter reduction** (reference): ``run_range`` yields per-item
-  op counts which ``group_warp_costs`` folds into per-group warp
-  maxima;
+* **reference fold**: ``run_range`` (the warp-fold at SIMD width 1)
+  yields per-item op counts which ``group_warp_costs`` folds into
+  per-group warp maxima;
 * **scalar warp-fold**: the generated ``__warps_`` runner folds on the
-  fly;
+  fly at the device's SIMD width;
 * **vectorised batch** (:mod:`repro.kir.npcodegen`): numpy evaluates
   whole NDRanges at once, when the kernel is eligible.
 

@@ -12,11 +12,12 @@ reports.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernelc
+from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
-from repro.opencl import dispatch
 
 
 N = 256  # >= dispatch.VEC_MIN_ITEMS so the full path takes the vec tier
@@ -81,9 +82,9 @@ def _full_dispatch(source):
 
 
 def _at_density(source, density, every=1):
-    saved = dispatch.configure()
-    dispatch.configure(compact_density=density, compact_check_every=every)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npcodegen, "COMPACT_DENSITY", density)
+        patch.setattr(npcodegen, "COMPACT_CHECK_EVERY", every)
         import numpy as np
 
         compiled = kernelc.build(source)
@@ -93,8 +94,6 @@ def _at_density(source, density, every=1):
         warps = runner.vec.run_group_warps(args, [N], [LSZ], SIMD)
         contents, ns = _full_dispatch(source)
         return args[0].tolist(), warps, contents, ns
-    finally:
-        dispatch.configure(**saved)
 
 
 class TestCompactionProperties:
@@ -123,8 +122,8 @@ class TestCompactionProperties:
     @settings(deadline=None, max_examples=10)
     @given(divergent_kernels())
     def test_scalar_reference_agreement(self, source):
-        """The compacted vec tier agrees with the per-item interpreter
-        path, not just with its own uncompacted self."""
+        """The compacted vec tier agrees with the scalar engine, not
+        just with its own uncompacted self."""
         compiled = kernelc.build(source)
         runner = compiled.kernel_runner("k")
         ref_args = [[0] * N, N]

@@ -14,13 +14,14 @@ depend on which tier executed a dispatch.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import kernelc, kir
 from repro.apps.reduction import sources as reduction_sources
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
-from repro.opencl import dispatch
 from repro.opencl.costmodel import group_warp_costs
 from repro.trace import tracing
 
@@ -43,9 +44,9 @@ def run_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD,
               expect_vec=True):
     """Run *kernel* through every tier and assert exact agreement.
 
-    Reference is the per-item engine (``run_range`` — the generator
-    interpreter for group-mode kernels, generated per-item code
-    otherwise).  Returns the reference warp maxima.
+    Reference is ``run_range`` (the lock-step generators for
+    group-mode kernels, the warp-fold at SIMD width 1 otherwise) folded
+    by ``group_warp_costs``.  Returns the reference warp maxima.
     """
     np = _np()
     compiled = kernelc.build(source)
@@ -337,12 +338,12 @@ class TestLedgerTotals:
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))
-    def test_legacy_and_vec_price_identically(self, case):
+    def test_legacy_and_vec_price_identically(self, case, scalar_tier):
+        """The forced scalar tier and the vectorised tier price alike."""
         source, name, scalars, nbuf, dtype = self.SOURCES[case]
         totals, contents = [], []
-        for legacy in (True, False):
-            dispatch.set_legacy_execution(legacy)
-            try:
+        for tier in (scalar_tier, contextlib.nullcontext):
+            with tier():
                 device = find_device("GPU")
                 ctx = Context([device])
                 queue = CommandQueue(ctx, device)
@@ -373,29 +374,22 @@ class TestLedgerTotals:
                 queue.finish()
                 totals.append(ctx.ledger.kernel_ns)
                 contents.append([list(b.data) for b in bufs])
-            finally:
-                dispatch.set_legacy_execution(False)
         assert totals[0] == totals[1]
         assert contents[0] == contents[1]
 
 
-# -- PR 7: active-lane compaction and loop-body CSE -------------------------
-
-import contextlib
+# -- active-lane compaction and loop-body CSE ------------------------------
 
 from repro.apps.mandelbrot import sources as mandelbrot_sources
-from repro.errors import CLInvalidValue
 
 
 @contextlib.contextmanager
 def compaction(density, every=1):
-    """Force the compaction policy for one test, restoring defaults."""
-    saved = dispatch.configure()
-    dispatch.configure(compact_density=density, compact_check_every=every)
-    try:
+    """Force the compaction policy for one block, restoring defaults."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npcodegen, "COMPACT_DENSITY", density)
+        patch.setattr(npcodegen, "COMPACT_CHECK_EVERY", every)
         yield
-    finally:
-        dispatch.configure(**saved)
 
 
 DIVERGENT_CASES = [
@@ -433,17 +427,10 @@ class TestCompaction:
         assert "dispatch.compact" not in tr.counters()
         assert out == out_off
 
-    def test_configure_validates(self):
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_density=1.5)
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_density=-0.1)
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_check_every=0)
-
     def test_configure_applies_to_compiled_kernels(self):
         """The kcache may hand back an already-compiled kernel; the
-        policy is read at run time so configure() still bites."""
+        policy constants are read at run time, so patching them still
+        bites."""
         compiled = kernelc.build(ESCAPE_LOOP)
         runner = compiled.kernel_runner("escape")
         np = _np()
@@ -492,7 +479,7 @@ class TestLoopBodyCSE:
         assert runner.vec is not None
         assert runner.vec.cse_hits >= 1
 
-    def test_mandelbrot_escape_test_hits_cache(self):
+    def test_mandelbrot_escape_test_hits_cache(self, scalar_tier):
         """The paper's mandelbrot kernel computes `x*x` and `y*y` in the
         escape test and again in the body — both must hit the cache, and
         the dispatch layer must report it."""
@@ -503,9 +490,6 @@ class TestLoopBodyCSE:
         with tracing() as tr:
             vec_out = _run_mandelbrot_dispatch(w=64, h=8, max_iter=60)
         assert tr.counters().get("dispatch.cse.hits", 0) > 0
-        dispatch.set_legacy_execution(True)
-        try:
-            legacy_out = _run_mandelbrot_dispatch(w=64, h=8, max_iter=60)
-        finally:
-            dispatch.set_legacy_execution(False)
-        assert vec_out == legacy_out
+        with scalar_tier():
+            scalar_out = _run_mandelbrot_dispatch(w=64, h=8, max_iter=60)
+        assert vec_out == scalar_out

@@ -5,10 +5,13 @@ buffers."""
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 from repro import kcache
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
-from repro.opencl import dispatch
 from repro.trace import tracing
 
 
@@ -91,16 +94,6 @@ class TestFallbackCounters:
         assert tr.counter("dispatch.fallback") == 1
         assert tr.counter("dispatch.fallback.user-call") == 1
 
-    def test_legacy_mode_not_counted_as_fallback(self):
-        dispatch.set_legacy_execution(True)
-        try:
-            with tracing() as tr:
-                out = _run(ELIGIBLE, "add1")
-        finally:
-            dispatch.set_legacy_execution(False)
-        assert out == [1] * 512
-        assert tr.counter("dispatch.fallback") == 0
-
 
 class TestIterationCap:
     def test_cap_falls_back_and_restores_buffers(self, monkeypatch):
@@ -133,16 +126,47 @@ class TestIterationCap:
         """
         kcache.clear()  # force a rebuild under the tiny cap
         monkeypatch.setattr(npcodegen, "LOOP_ITER_CAP", 7)
-        saved = dispatch.configure()
-        dispatch.configure(compact_density=1.0, compact_check_every=1)
-        try:
-            with tracing() as tr:
-                out = _run(CAPPED_LOOP, "accum", init=3)
-        finally:
-            dispatch.configure(**saved)
+        monkeypatch.setattr(npcodegen, "COMPACT_DENSITY", 1.0)
+        monkeypatch.setattr(npcodegen, "COMPACT_CHECK_EVERY", 1)
+        with tracing() as tr:
+            out = _run(CAPPED_LOOP, "accum", init=3)
         # Scalar rerun from the restored (all-threes) buffer: exact sums.
         assert out == [3 + i % 7 + 5 for i in range(512)]
         assert tr.counter("dispatch.fallback") == 1
         assert tr.counter("dispatch.fallback.iter-cap") == 1
         # The compaction events before the abort are still reported.
         assert tr.counter("dispatch.compact") >= 1
+
+
+class TestAppsKeepTheVectorisedTier:
+    """The shipped apps' large dispatches stay on the vectorised tier.
+
+    Counter-based, so the guard holds on any machine: a regression that
+    demotes these dispatches shows up as ``dispatch.fallback`` counts,
+    not as a wall-clock ratio.
+    """
+
+    @pytest.mark.parametrize(
+        "app,args,min_compact",
+        [
+            ("mandelbrot", (96, 96, 60), 0),
+            ("mandelbrot", (96, 96, 2000), 1),  # deep loop compacts
+            ("reduction", (4096, "GPU"), 0),
+            ("matmul", (64, "GPU"), 0),
+            ("docrank", (512, 64, 16), 0),
+        ],
+    )
+    def test_no_fallback(self, app, args, min_compact):
+        module = importlib.import_module(f"repro.apps.{app}")
+        with tracing() as tr:
+            module.run_api(*args)
+        assert tr.counter("dispatch.fallback") == 0
+        assert tr.counter("dispatch.compact") >= min_compact
+
+    def test_lud_pipeline_demotes_only_small_ranges(self):
+        from repro.apps import lud
+
+        with tracing() as tr:
+            lud.run_actors(64)
+        assert tr.counter("dispatch.fallback") == 128
+        assert tr.counter("dispatch.fallback.small-ndrange") == 128

@@ -9,6 +9,7 @@ width) plus the broadcast/gather transfer traffic of joining the split.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import weakref
 
@@ -248,21 +249,23 @@ __kernel void accum(__global int *out) {
 
 @pytest.fixture
 def per_item_runs(monkeypatch):
-    """One entry per call of the per-item engine: whether legacy
-    execution was forced at the time."""
+    """One entry per ``run_range`` call: whether the scalar tier was
+    forced at the time."""
     calls = []
     run_range = KernelRunner.run_range
+    vec_item_ops = dispatch._vec_item_ops
 
     def recording(self, *args):
-        calls.append(dispatch.use_legacy())
+        calls.append(dispatch._vec_item_ops is not vec_item_ops)
         return run_range(self, *args)
 
     monkeypatch.setattr(KernelRunner, "run_range", recording)
     return calls
 
 
-def _split_parts(source, name, gsz, lsz, args, legacy=False):
-    """Run ``multi_device_kernel_ns`` for one GPU+CPU split.
+def _split_parts(source, name, gsz, lsz, args, tier=contextlib.nullcontext):
+    """Run ``multi_device_kernel_ns`` for one GPU+CPU split inside the
+    *tier* context.
 
     List arguments become buffers.  Returns the per-device parts, every
     buffer's contents afterwards, and the tracer of the dispatch.
@@ -282,24 +285,20 @@ def _split_parts(source, name, gsz, lsz, args, legacy=False):
         gsz[-1] // lsz[-1], [device_weight(gpu.spec), device_weight(cpu.spec)]
     )
     assert all(shares)  # both devices take part
-    dispatch.set_legacy_execution(legacy)
-    try:
-        with tracing() as tr:
-            parts = multi_device_kernel_ns(
-                kernel.runner(gpu), [gpu.spec, cpu.spec], shares,
-                kernel.bound_entries(ctx), gsz, lsz,
-            )
-    finally:
-        dispatch.set_legacy_execution(False)
+    with tier(), tracing() as tr:
+        parts = multi_device_kernel_ns(
+            kernel.runner(gpu), [gpu.spec, cpu.spec], shares,
+            kernel.bound_entries(ctx), gsz, lsz,
+        )
     return parts, [list(b.data) for b in bufs], tr
 
 
-def _agrees_with_legacy(*case):
-    """Split *case* on the tier ladder and on the forced per-item
-    engine; parts and buffers must be identical.  Returns the tracer of
-    the tier-ladder run."""
+def _agrees_with_scalar(scalar_tier, *case):
+    """Split *case* on the tier ladder and on the forced scalar tier;
+    parts and buffers must be identical.  Returns the tracer of the
+    tier-ladder run."""
     parts, contents, tr = _split_parts(*case)
-    want_parts, want_contents, _ = _split_parts(*case, legacy=True)
+    want_parts, want_contents, _ = _split_parts(*case, tier=scalar_tier)
     assert parts == want_parts
     assert contents == want_contents
     return tr
@@ -307,33 +306,37 @@ def _agrees_with_legacy(*case):
 
 class TestSplitTierAgreement:
     """A split dispatch takes the single-device tier ladder, and every
-    device's priced slice matches the per-item engine exactly."""
+    device's priced slice matches the scalar engine exactly."""
 
-    def test_matmul_runs_vectorised(self, per_item_runs):
+    def test_matmul_runs_vectorised(self, per_item_runs, scalar_tier):
         a, b = generate(N)
-        tr = _agrees_with_legacy(
-            KERNEL_SOURCE, "matmul", (N, N), (8, 8), [a, b, [0.0] * N * N, N]
+        tr = _agrees_with_scalar(
+            scalar_tier, KERNEL_SOURCE, "matmul", (N, N), (8, 8),
+            [a, b, [0.0] * N * N, N],
         )
         assert tr.counter("dispatch.fallback") == 0
-        assert per_item_runs == [True]  # only the forced-legacy run
+        assert per_item_runs == [True]  # only the forced-scalar run
 
-    def test_barrier_kernel_keeps_group_major_order(self, per_item_runs):
+    def test_barrier_kernel_keeps_group_major_order(
+        self, per_item_runs, scalar_tier
+    ):
         w, h = 16, 32
         data = [(i * 37 + 11) % 23 for i in range(w * h)]
-        tr = _agrees_with_legacy(
-            TILE_SCAN, "tile_scan", (w, h), (4, 4), [data, [0] * (w * h), w]
+        tr = _agrees_with_scalar(
+            scalar_tier, TILE_SCAN, "tile_scan", (w, h), (4, 4),
+            [data, [0] * (w * h), w],
         )
         assert tr.counter("dispatch.fallback") == 0
         assert per_item_runs == [True]
 
     def test_iteration_cap_restores_buffers_and_demotes(
-        self, monkeypatch, per_item_runs
+        self, monkeypatch, per_item_runs, scalar_tier
     ):
         kcache.clear()  # build under the tiny cap
         monkeypatch.setattr(npcodegen, "LOOP_ITER_CAP", 3)
         try:
-            tr = _agrees_with_legacy(
-                CAPPED_LOOP, "accum", (512,), (8,), [[3] * 512]
+            tr = _agrees_with_scalar(
+                scalar_tier, CAPPED_LOOP, "accum", (512,), (8,), [[3] * 512]
             )
         finally:
             kcache.clear()  # no later test may reuse the capped build
@@ -341,14 +344,14 @@ class TestSplitTierAgreement:
         assert tr.counter("dispatch.fallback.iter-cap") == 1
         assert per_item_runs == [False, True]
 
-    def test_vec_fault_demotes(self, per_item_runs):
+    def test_vec_fault_demotes(self, per_item_runs, scalar_tier):
         a, b = generate(N)
         dispatch.configure(
             faults=FaultPlan([FaultSpec("vec", kind=TRANSIENT)])
         )
         try:
-            tr = _agrees_with_legacy(
-                KERNEL_SOURCE, "matmul", (N, N), (8, 8),
+            tr = _agrees_with_scalar(
+                scalar_tier, KERNEL_SOURCE, "matmul", (N, N), (8, 8),
                 [a, b, [0.0] * N * N, N],
             )
         finally:
@@ -357,11 +360,12 @@ class TestSplitTierAgreement:
         assert tr.counter("dispatch.fallback.fault") == 1
         assert per_item_runs == [False, True]
 
-    def test_small_ndrange_demotes(self, per_item_runs):
+    def test_small_ndrange_demotes(self, per_item_runs, scalar_tier):
         n = 8  # 64 work-items, under dispatch.VEC_MIN_ITEMS
         a, b = generate(n)
-        tr = _agrees_with_legacy(
-            KERNEL_SOURCE, "matmul", (n, n), (2, 2), [a, b, [0.0] * n * n, n]
+        tr = _agrees_with_scalar(
+            scalar_tier, KERNEL_SOURCE, "matmul", (n, n), (2, 2),
+            [a, b, [0.0] * n * n, n],
         )
         assert tr.counter("dispatch.fallback") == 1
         assert tr.counter("dispatch.fallback.small-ndrange") == 1
