@@ -80,8 +80,6 @@ class KernelActor(Actor):
         self._env: Optional[OpenCLEnvironment] = None
         self._program: Optional[Program] = None
         self._fn: Optional[kir.Function] = None
-        self._written: set[str] = set()
-        self._read: set[str] = set()
 
     # -- lazy OpenCL environment ------------------------------------------
 
@@ -109,8 +107,6 @@ class KernelActor(Actor):
                     f"{self.name}: no kernel {self.kernel_name!r} in source"
                 )
             self._fn = fn
-            self._written = kir.written_arrays(fn)
-            self._read = kir.read_arrays(fn)
         return self._program
 
     # -- behaviour ---------------------------------------------------------
@@ -234,17 +230,15 @@ class KernelActor(Actor):
                     # payload so residency survives past this dispatch.
                     payload[param.name] = array
                 managed[param.name] = array
-                kernel.set_arg(
-                    index,
-                    array.to_device(queue, copy=param.name in self._read),
-                )
+                copy = param.name in kernel.read_params
+                kernel.set_arg(index, array.to_device(queue, copy=copy))
             else:
                 kernel.set_arg(index, value)
 
         queue.enqueue_nd_range_kernel(
             kernel, request.worksize, request.effective_groupsize()
         )
-        for name in self._written:
+        for name in kernel.written_params:
             if name in managed:
                 managed[name].mark_device_written()
 

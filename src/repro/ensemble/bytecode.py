@@ -92,8 +92,6 @@ class KernelPlan:
     groupsize_field: str
     out_field: str
     in_movable: bool
-    written_params: list[str]
-    read_params: list[str]
 
 
 @dataclass

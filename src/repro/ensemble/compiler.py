@@ -405,7 +405,7 @@ class ProgramCompiler:
             data_type,
             self.program.stage.functions,
         )
-        source, params, written, read = generator.generate(body[2:-1])
+        source, params = generator.generate(body[2:-1])
         settings = actor.opencl_settings
         plan = KernelPlan(
             kernel_name=generator.kernel_name,
@@ -421,8 +421,6 @@ class ProgramCompiler:
             groupsize_field=sinfo.groupsize_field,
             out_field=sinfo.out_field,
             in_movable=sinfo.in_movable,
-            written_params=written,
-            read_params=read,
         )
 
         comp.emit("DISPATCH")

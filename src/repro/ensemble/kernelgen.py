@@ -140,10 +140,8 @@ class KernelGenerator:
     # entry point
     # ------------------------------------------------------------------
 
-    def generate(
-        self, region: list[ast.Stmt]
-    ) -> tuple[str, list[ParamSpec], list[str], list[str]]:
-        """Lower *region*; returns (source, params, written, read)."""
+    def generate(self, region: list[ast.Stmt]) -> tuple[str, list[ParamSpec]]:
+        """Lower *region*; returns (source, params)."""
         self._layout_params()
         body = self._block(region)
         fn = kir.Function(
@@ -151,10 +149,7 @@ class KernelGenerator:
         )
         self.module.add(fn)
         kir.validate(self.module)
-        written = sorted(kir.written_arrays(fn))
-        read = sorted(kir.read_arrays(fn))
-        source = kir.unparse_module(self.module)
-        return source, self.params, written, read
+        return kir.unparse_module(self.module), self.params
 
     # ------------------------------------------------------------------
     # statements

@@ -1598,9 +1598,9 @@ def _fold_perm(g: tuple, l: tuple, nitems: int) -> Any:
 
 def fold_group_warps(
     ops: Any, gsz: Sequence[int], lsz: Sequence[int], simd: int
-) -> list[list[int]]:
+) -> Any:
     """Reduce a per-item op vector (numpy array or list) to per-group
-    warp maxima.
+    warp maxima, an array of shape ``(groups, warps per group)``.
 
     Reproduces ``costmodel.group_warp_costs`` exactly: items are
     regrouped from linear (dim0-fastest) order into intra-group arrival
@@ -1628,7 +1628,7 @@ def fold_group_warps(
         arranged = padded
     else:
         arranged = arranged.reshape(ngroups, nwarps * simd)
-    return arranged.reshape(ngroups, nwarps, simd).max(axis=2).tolist()
+    return arranged.reshape(ngroups, nwarps, simd).max(axis=2)
 
 
 class VecKernel:
@@ -1687,9 +1687,10 @@ class VecKernel:
         lsz: Sequence[int],
         simd: int,
     ) -> list[list[int]]:
-        """:meth:`run_item_ops` folded into per-group warp op maxima."""
+        """:meth:`run_item_ops` folded into per-group lists of warp op
+        maxima, the form the scalar runner returns."""
         ops = self.run_item_ops(args, gsz, lsz)
-        return fold_group_warps(ops, gsz, lsz, simd)
+        return fold_group_warps(ops, gsz, lsz, simd).tolist()
 
 
 def vectorize_kernel_info(

@@ -463,12 +463,15 @@ class KernelRunner:
         #: why ``vec`` is None (an ``npcodegen.eligibility`` reason
         #: string surfaced as a ``dispatch.fallback.<reason>`` counter)
         self.vec_reason: Optional[str] = None
+        #: names of the array params the kernel body loads from and
+        #: stores into, computed once and shared by every ``Kernel``
+        self.read_params = frozenset(ir.read_arrays(fn))
+        self.written_params = frozenset(ir.written_arrays(fn))
         #: indices of array params the kernel stores into
         self.written_param_indices: tuple[int, ...] = tuple(
             i
             for i, p in enumerate(fn.params)
-            if isinstance(p.type, ir.ArrayType)
-            and p.name in ir.written_arrays(fn)
+            if p.name in self.written_params
         )
 
     def run_range(

@@ -75,6 +75,8 @@ class DataRegion:
     copy: list[str] = field(default_factory=list)
     copyin: list[str] = field(default_factory=list)
     copyout: list[str] = field(default_factory=list)
+    #: Element kind of each array the enclosing function declares.
+    kinds: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -138,6 +140,20 @@ class AccCompiler:
             )
         return candidates[0]
 
+    def _array_kinds(self, target: kir.Stmt) -> dict[str, str]:
+        """Element kind of each array that the function holding *target*
+        declares, as a parameter or a local."""
+        for fn in self.module.functions.values():
+            stmts = list(kir.walk_stmts(fn.body))
+            if any(st is target for st in stmts):
+                locals_ = [s for s in stmts if isinstance(s, kir.Decl)]
+                decls = fn.params + locals_
+                return {
+                    d.name: d.type.element.kind
+                    for d in decls if isinstance(d.type, kir.ArrayType)
+                }
+        return {}
+
     # -- compilation -----------------------------------------------------------
 
     def compile(self) -> AccModule:
@@ -154,6 +170,7 @@ class AccCompiler:
                     copy=list(pragma.copy),
                     copyin=list(pragma.copyin),
                     copyout=list(pragma.copyout),
+                    kinds=self._array_kinds(target),
                 )
                 self.report.append(
                     f"line {pragma.line}: data region "

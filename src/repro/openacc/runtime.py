@@ -42,6 +42,8 @@ _REDUCE_COMBINE = {
 
 @dataclass
 class AccResult:
+    """The value an OpenACC program returned, with its priced ledger."""
+
     value: Any
     ledger: CostLedger
     host_ops: int
@@ -107,7 +109,7 @@ class _AccExecutor(Interpreter):
             host = self._array(name, env)
             if id(host) in self.resident:
                 continue
-            buf = Buffer(self.context, len(host), _dtype_of(host))
+            buf = Buffer(self.context, len(host), region.kinds[name])
             if name not in region.copyout:
                 self.queue.enqueue_write_buffer(buf, host)
             self.resident[id(host)] = buf
@@ -135,14 +137,17 @@ class _AccExecutor(Interpreter):
         if trip == 0:
             return
 
-        # Bind buffers (resident ones move nothing).
+        assert self.compiled_kernels is not None
+        runner = self.compiled_kernels.kernel_runner(region.kernel_name)
+        # Bind buffers (resident ones move nothing).  Each takes its
+        # kernel parameter's element type, whatever the host values are.
         temp_buffers: list[tuple[str, list, Buffer, bool]] = []
         args: list[Any] = []
-        for name in region.arrays:
+        for name, param in zip(region.arrays, runner.fn.params):
             host = self._array(name, env)
             buf = self.resident.get(id(host))
             if buf is None:
-                buf = Buffer(self.context, len(host), _dtype_of(host))
+                buf = Buffer(self.context, len(host), param.type.element.kind)
                 if name in region.arrays_in or not region.arrays_in:
                     self.queue.enqueue_write_buffer(buf, host)
                 readback = name in region.arrays_out
@@ -154,7 +159,7 @@ class _AccExecutor(Interpreter):
             args.append(env[name])
 
         if region.kind == "reduction":
-            self._run_reduction(region, env, args, start, stop, trip)
+            self._run_reduction(region, runner, env, args, trip)
         else:
             args.append(start)
             args.append(stop)
@@ -168,8 +173,6 @@ class _AccExecutor(Interpreter):
                 gsz = trip * max(0, stop1 - start1)
             lsz = min(region.local_size, self.device.spec.max_work_group_size)
             gsz_padded = _round_up(gsz, lsz)
-            assert self.compiled_kernels is not None
-            runner = self.compiled_kernels.kernel_runner(region.kernel_name)
             ns = dispatch_kernel_ns(
                 runner, self.device.spec, args, [gsz_padded], [lsz]
             )
@@ -194,10 +197,9 @@ class _AccExecutor(Interpreter):
     def _run_reduction(
         self,
         region: LoopRegion,
+        runner: kir.KernelRunner,
         env: dict,
         args: list,
-        start: int,
-        stop: int,
         trip: int,
     ) -> None:
         op, var = region.reduction  # type: ignore[misc]
@@ -216,13 +218,13 @@ class _AccExecutor(Interpreter):
         gangs = max(1, min(gangs, trip))
         seed = 0 if op == "+" else initial
         partial_host = [seed] * gangs
+        # The buffer holds the reduction variable's type, which the
+        # kernel's trailing ``__partial`` parameter carries.
         partial = Buffer(
-            self.context, gangs, "int" if isinstance(seed, int) else "float"
+            self.context, gangs, runner.fn.params[-1].type.element.kind
         )
         self.queue.enqueue_write_buffer(partial, partial_host)
         args = list(args) + [partial]
-        assert self.compiled_kernels is not None
-        runner = self.compiled_kernels.kernel_runner(region.kernel_name)
         ns = dispatch_kernel_ns(runner, self.device.spec, args, [gangs], [1])
         start = self.device.schedule_ns(self.context.clock.now_ns, ns)
         self.context.charge(
@@ -243,17 +245,6 @@ class _AccExecutor(Interpreter):
             result = combine(result, value)
             self.ops += 2
         env[var] = result
-
-
-def _dtype_of(host: list) -> str:
-    for value in host:
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, float):
-            return "float"
-        if isinstance(value, int):
-            return "int"
-    return "float"
 
 
 def _round_up(value: int, multiple: int) -> int:

@@ -8,11 +8,12 @@ fastest correct tier for each dispatch:
 * **vectorised** — the numpy batch executor
   (:mod:`repro.kir.npcodegen`), used for eligible range-mode kernels on
   NDRanges large enough to amortise array setup.  Array arguments are
-  the buffers' numpy mirrors, so chained dispatches over the same
-  buffers stay in numpy-land with no list conversion in between.
+  the buffers' own numpy arrays.
 * **scalar warp-fold** — the generated ``__warps_`` runner, which
   iterates items inline with hoisted index arithmetic and folds op
-  counts into warp maxima on the fly (no per-item list).
+  counts into warp maxima on the fly (no per-item list).  Array
+  arguments are memoryviews of the same arrays, so a dispatch never
+  converts buffer contents whichever tier runs it.
 
 Group-mode kernels (barriers / local memory) are eligible for the
 vectorised tier too (barrier-phase execution with local arrays as numpy
@@ -29,7 +30,10 @@ as ``dispatch.fallback`` plus ``dispatch.fallback.<reason>`` (reasons:
 :func:`repro.kir.npcodegen.eligibility`), so BENCH regressions are
 diagnosable instead of silent.  Kernels with masked loops carry a
 runtime iteration cap; hitting it restores the pre-dispatch buffer
-contents and re-runs on a scalar tier (counted as ``iter-cap``).
+contents and re-runs on a scalar tier (counted as ``iter-cap``).  An
+array index past the end raises
+:class:`~repro.errors.KirRuntimeError` naming the kernel on either
+tier.
 
 The vectorised tier's two loop optimisations are observable here too:
 
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..errors import CLInvalidValue
+from ..errors import CLInvalidValue, KirRuntimeError
 from .. import kir
 from ..kir import npcodegen as _npc
 from ..trace import current_tracer
@@ -121,8 +125,23 @@ def configure(*, faults=_UNSET, retry=_UNSET, fusion=_UNSET) -> dict:
     }
 
 
-def _listify(raw_args: Sequence) -> list:
-    return [a.data if isinstance(a, Buffer) else a for a in raw_args]
+def _scalar_args(raw_args: Sequence) -> list:
+    """Each buffer as a memoryview of its array, whose indexing reads
+    and stores plain Python scalars (the scalar runners' arguments)."""
+    return [
+        memoryview(a.np_view()) if isinstance(a, Buffer) else a
+        for a in raw_args
+    ]
+
+
+def _run_tier(runner: "kir.KernelRunner", run, *args):
+    """Call a tier's executor *run*; an array index past the end raises
+    :class:`KirRuntimeError` naming the kernel, whichever tier ran."""
+    try:
+        return run(*args)
+    except IndexError as exc:
+        msg = f"kernel {runner.name}: array index out of range ({exc})"
+        raise KirRuntimeError(msg) from exc
 
 
 def _count_fallback(reason: str) -> None:
@@ -202,20 +221,16 @@ def _vec_item_ops(
     compact_before = _npc.thread_compact_stats()
     try:
         try:
-            ops = runner.vec.run_item_ops(np_args, gsz, lsz)
+            run = runner.vec.run_item_ops
+            ops = _run_tier(runner, run, np_args, gsz, lsz)
         finally:
-            # Even a faulting kernel may have partially stored.  Count
-            # compaction activity here too: events that happened before
-            # an iteration-cap abort are still real work.
+            # Count compaction activity even when the kernel faults:
+            # events that happened before an iteration-cap abort are
+            # still real work.
             _count_compaction(compact_before)
-            for i in runner.written_param_indices:
-                arg = raw_args[i]
-                if isinstance(arg, Buffer):
-                    arg.mark_np_written()
     except _npc.VecIterationCap:
         for arg, snap in snaps:
             arg.np_view()[:] = snap
-            arg.mark_np_written()
         _count_fallback("iter-cap")
         return None
     _count_cse_hits(runner.vec.cse_hits)
@@ -232,16 +247,17 @@ def dispatch_kernel_ns(
     """Execute one NDRange dispatch and return its simulated duration.
 
     *raw_args* carries :class:`Buffer` objects for array parameters (so
-    this helper can choose the storage tier) and plain scalars
-    otherwise.
+    this helper can hand each tier its view of the array) and plain
+    scalars otherwise.
     """
     ops = _vec_item_ops(runner, raw_args, gsz, lsz)
     if ops is None:
-        args = _listify(raw_args)
+        args = _scalar_args(raw_args)
         if not runner.group_mode:
-            warps = runner.run_group_warps(args, gsz, lsz, spec.simd_width)
+            run = runner.run_group_warps
+            warps = _run_tier(runner, run, args, gsz, lsz, spec.simd_width)
             return spec.kernel_ns_from_group_warps(warps)
-        ops = runner.run_range(args, gsz, lsz)
+        ops = _run_tier(runner, runner.run_range, args, gsz, lsz)
     warps = _npc.fold_group_warps(ops, gsz, lsz, spec.simd_width)
     return spec.kernel_ns_from_group_warps(warps)
 
@@ -298,7 +314,8 @@ def multi_device_kernel_ns(
     """
     ops = _vec_item_ops(runner, raw_args, gsz, lsz)
     if ops is None:
-        ops = runner.run_range(_listify(raw_args), gsz, lsz)
+        args = _scalar_args(raw_args)
+        ops = _run_tier(runner, runner.run_range, args, gsz, lsz)
     row_items = 1
     for s in gsz[:-1]:
         row_items *= s

@@ -146,7 +146,7 @@ def _has_write_alias(kernel, entries: Sequence) -> bool:
     with at least one of them written (fusing would reorder the
     aliased accesses, so such dispatches never fuse)."""
     by_buffer = _buffer_params(kernel.fn, entries)
-    written = kernel._written_params
+    written = kernel.written_params
     for names in by_buffer.values():
         if len(names) > 1 and any(name in written for name in names):
             return True
@@ -236,8 +236,8 @@ def _check_legal(
         involved = {
             bid
             for bid in set(by_a) & set(by_b)
-            if any(n in kernel_a._written_params for n in by_a[bid])
-            or any(n in kernel_b._written_params for n in by_b[bid])
+            if any(n in kernel_a.written_params for n in by_a[bid])
+            or any(n in kernel_b.written_params for n in by_b[bid])
         }
         names_a = {n for bid in involved for n in by_a[bid]}
         names_b = {n for bid in involved for n in by_b[bid]}

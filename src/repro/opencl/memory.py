@@ -7,12 +7,13 @@ live on the device side of a modelled host link, moving data across it
 costs simulated time proportional to the byte size, and host code can
 only observe kernel writes after an explicit read-back.
 
-Storage is two-tiered for host-path speed: the canonical Python list
-(every legacy consumer reads/writes ``buf.data``) plus a lazily
-materialised NumPy mirror used by the vectorised kernel execution path.
-Whichever tier was written last is authoritative; the other is synced
-on demand.  The tiers are a wall-clock optimisation only — simulated
-costs never depend on which tier executed an access.
+Each buffer stores its contents in one NumPy array and nowhere else.
+The vectorised kernel tier operates on that array directly, and the
+scalar tier indexes a ``memoryview`` of it.  Host data is converted
+only when a transfer is enqueued: a write slice-assigns into the array,
+and a read calls ``tolist()``.  ``Buffer.data`` is a read-only snapshot.
+Storage is a wall-clock concern only; simulated costs never depend on
+it.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ READ_ONLY = "READ_ONLY"
 WRITE_ONLY = "WRITE_ONLY"
 COPY_HOST_PTR = "COPY_HOST_PTR"
 
-_ZERO = {"float": 0.0, "int": 0, "bool": False}
-
-
-def np_dtype(dtype: str):
-    """NumPy dtype for a buffer element type."""
-    return {"float": _np.float64, "int": _np.int64, "bool": _np.bool_}[dtype]
+#: NumPy dtype of each buffer element type.
+_NP_DTYPES = {"float": _np.float64, "int": _np.int64, "bool": _np.bool_}
 
 
 class Buffer:
@@ -73,9 +70,8 @@ class Buffer:
         self.n_elements = n_elements
         self.flags = tuple(flags)
         self.released = False
-        self._np = None
-        self._np_fresh = False
-        self._list_fresh = True
+        #: The buffer's one store (see :meth:`np_view`).
+        self._np = _np.zeros(n_elements, dtype=_NP_DTYPES[dtype])
         #: Transfer-elimination marker: ``(residency_epoch, device_id)``
         #: of the last clean transfer that certified host and device
         #: copies equal, or None once a kernel (or device-side copy) has
@@ -89,70 +85,35 @@ class Buffer:
                 raise CLInvalidValue(
                     f"host data length {len(host_data)} != {n_elements}"
                 )
-            self._list = list(host_data)
-        else:
-            self._list = [_ZERO[dtype]] * n_elements
+            self._np[:] = host_data
         context._buffers[self.ordinal] = self
 
-    # -- two-tier storage --------------------------------------------------
+    # -- storage -----------------------------------------------------------
 
     @property
     def data(self) -> list:
-        """The buffer contents as the canonical Python list.
+        """A snapshot of the contents as a new Python list.
 
-        Callers may mutate the returned list in place (the substrate
-        itself does), so any still-fresh NumPy mirror is conservatively
-        invalidated here.  Observing contents is also a flush point for
-        the graph-level optimiser: a kernel deferred for fusion must
-        execute before its output can be read.
+        Mutating the list leaves the buffer unchanged.  Observing
+        contents is a flush point for the graph-level optimiser: a
+        kernel deferred for fusion executes before its output is read.
         """
-        if self.context._fusion_pending:
-            self.context.flush_pending()
-        if not self._list_fresh:
-            self._list[:] = self._np.tolist()
-            self._list_fresh = True
-        self._np_fresh = False
-        return self._list
-
-    @data.setter
-    def data(self, values: list) -> None:
-        if self.context._fusion_pending:
-            self.context.flush_pending()
-        self._list = values
-        self._list_fresh = True
-        self._np = None
-        self._np_fresh = False
+        return self.np_view().tolist()
 
     def contents_equal(self, values) -> bool:
-        """Whether the buffer currently holds exactly *values*.
-
-        A read-only probe for the transfer-elimination pass: unlike the
-        ``data`` property it does not invalidate the NumPy mirror, so
-        checking an upload for redundancy never deoptimises a chain of
-        vectorised dispatches.
-        """
-        if not self._list_fresh:
-            self._list[:] = self._np.tolist()
-            self._list_fresh = True
-        if len(values) != len(self._list):
-            return False
-        return list(values) == self._list
+        """Whether the buffer currently holds exactly *values* (the
+        transfer-elimination pass's redundancy probe)."""
+        return len(values) == self.n_elements and (
+            self._np.tolist() == list(values)
+        )
 
     def np_view(self):
-        """The contents as a NumPy array (authoritative until the list
-        tier is touched).  Callers that write through the view must call
-        :meth:`mark_np_written`."""
+        """The buffer's one NumPy array, not a copy: kernels and
+        transfers read and write it in place.  Flushes a kernel deferred
+        for fusion first."""
         if self.context._fusion_pending:
             self.context.flush_pending()
-        if not self._np_fresh:
-            self._np = _np.asarray(self._list, dtype=np_dtype(self.dtype))
-            self._np_fresh = True
         return self._np
-
-    def mark_np_written(self) -> None:
-        """A vectorised kernel stored through the NumPy mirror: the list
-        tier is stale until the next ``.data`` access."""
-        self._list_fresh = False
 
     # -- geometry / lifecycle ----------------------------------------------
 
@@ -165,10 +126,13 @@ class Buffer:
             raise CLMemObjectReleased(f"buffer {self.id} was released")
 
     def release(self) -> None:
-        """Return the device memory.  Double release is an error."""
+        """Return the device memory, first running any kernel deferred
+        for fusion.  Double release is an error."""
         self.check_alive()
+        if self.context._fusion_pending:
+            self.context.flush_pending()
         self.released = True
-        self.data = []
+        self._np = _np.zeros(0, dtype=self._np.dtype)
         self.context._buffers.pop(self.ordinal, None)
 
     def __len__(self) -> int:

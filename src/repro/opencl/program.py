@@ -175,11 +175,11 @@ class Program:
     def create_kernel(self, name: str) -> "Kernel":
         if not self._built:
             raise CLInvalidValue("program must be built before kernel creation")
-        module = next(iter(self._built.values())).module
-        fn = module.functions.get(name)
+        compiled = next(iter(self._built.values()))
+        fn = compiled.module.functions.get(name)
         if fn is None or not fn.is_kernel:
             raise CLInvalidValue(f"no kernel {name!r} in program")
-        return Kernel(self, fn)
+        return Kernel(self, fn, compiled.kernel_runner(name))
 
     def kernel_names(self) -> list[str]:
         if not self._built:
@@ -203,15 +203,18 @@ class Program:
 class Kernel:
     """An argument-holding kernel object, mirroring ``cl_kernel``."""
 
-    def __init__(self, program: Program, fn: kir.Function) -> None:
+    def __init__(
+        self, program: Program, fn: kir.Function, runner: kir.KernelRunner
+    ) -> None:
         self.program = program
         self.fn = fn
         self.name = fn.name
         self._args: list = [_UNSET] * len(fn.params)
-        #: array parameter names the kernel body reads / writes, used by
-        #: the out-of-order queue scheduler to infer buffer hazards.
-        self._read_params = kir.read_arrays(fn)
-        self._written_params = kir.written_arrays(fn)
+        #: array parameter names the kernel body reads / writes, shared
+        #: with the compiled runner; the out-of-order queue scheduler
+        #: infers buffer hazards from them.
+        self.read_params = runner.read_params
+        self.written_params = runner.written_params
 
     @property
     def num_args(self) -> int:
@@ -297,10 +300,10 @@ class Kernel:
             if not isinstance(value, Buffer):
                 continue
             touched = False
-            if param.name in self._read_params:
+            if param.name in self.read_params:
                 reads.append(value.id)
                 touched = True
-            if param.name in self._written_params:
+            if param.name in self.written_params:
                 writes.append(value.id)
                 touched = True
             if not touched:

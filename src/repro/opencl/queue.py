@@ -642,7 +642,7 @@ class CommandQueue:
                 elided=True,
             )
         self._fault_gate("h2d", f"buf{buf.ordinal}", ns)
-        buf.data[:] = host_data
+        buf.np_view()[:] = host_data
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
         with self.context.ledger._lock:
             self.context.ledger.bytes_to_device += buf.nbytes
@@ -675,7 +675,7 @@ class CommandQueue:
         self._flush_if_pending("host-read")
         ns = self.device.spec.transfer_ns(buf.nbytes, to_device=False)
         self._fault_gate("d2h", f"buf{buf.ordinal}", ns)
-        host_out[:] = buf.data
+        host_out[:] = buf.np_view().tolist()
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
         with self.context.ledger._lock:
             self.context.ledger.bytes_from_device += buf.nbytes
@@ -701,7 +701,7 @@ class CommandQueue:
         self._check_device_writable()
         if src.n_elements != dst.n_elements or src.dtype != dst.dtype:
             raise CLInvalidValue("copy between mismatched buffers")
-        dst.data[:] = src.data
+        dst.np_view()[:] = src.np_view()
         dst._h2d_clean = None
         ns = src.n_elements / (self.device.spec.lanes * self.device.spec.ops_per_ns)
         return self._record(

@@ -85,6 +85,7 @@ def mov(payload: Any) -> Movable:
 
 
 def is_movable(value: Any) -> bool:
+    """Whether *value* is a :class:`Movable` (``mov``) message box."""
     return isinstance(value, Movable)
 
 

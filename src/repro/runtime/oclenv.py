@@ -222,4 +222,5 @@ def get_environment(
 
 
 def reset_device_matrix() -> None:
+    """Release and drop every environment of the runtime device matrix."""
     _matrix.reset()

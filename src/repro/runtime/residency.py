@@ -173,7 +173,7 @@ class ManagedArray:
                 if copy:
                     queue.enqueue_write_buffer(self._buffer, self._flat)
                 else:
-                    self._buffer.data[:] = self._flat
+                    self._buffer.np_view()[:] = self._flat
                     self._buffer._h2d_clean = None
                 self._queue = queue
                 self._device_valid = True
@@ -187,7 +187,8 @@ class ManagedArray:
         else:
             if tracer.enabled:
                 tracer.count("residency.alloc")
-            buf.data[:] = self._flat  # contents land with the kernel write
+            # The contents land with the kernel write.
+            buf.np_view()[:] = self._flat
         self._buffer = buf
         self._queue = queue
         self._device_valid = True

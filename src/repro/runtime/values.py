@@ -78,6 +78,7 @@ def store_value(obj: Any, i: int, value: Any) -> None:
 
 
 def length_of(obj: Any) -> int:
+    """The Ensemble ``length()`` of an array or array view."""
     if isinstance(obj, (ManagedArray, ArrayView)):
         return len(obj)
     raise RuntimeFault(f"length() of {type(obj).__name__}")

@@ -704,7 +704,7 @@ class EnsembleVM:
                         f"kernel argument {pspec.fname!r} is not an array"
                     )
                 arrays[pspec.name] = value
-                copy_in = pspec.name in plan.read_params
+                copy_in = pspec.name in kernel.read_params
                 kernel.set_arg(index, value.to_device(queue, copy=copy_in))
             elif pspec.kind in ("dim_field", "dim_self"):
                 source = (
@@ -734,13 +734,13 @@ class EnsembleVM:
         )
         queue.enqueue_nd_range_kernel(kernel, worksize, groupsize)
 
-        for pname in plan.written_params:
+        for pname in kernel.written_params:
             array = arrays.get(pname)
             if array is not None:
                 array.mark_device_written()
         # Primitives are always read back (they are 1-element arrays).
         for pname, fname, carrier in scalar_carriers:
-            if pname in plan.written_params:
+            if pname in kernel.written_params:
                 carrier.mark_device_written()
             data.set(fname, carrier[0])
         if not plan.in_movable:

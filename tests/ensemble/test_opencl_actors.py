@@ -4,7 +4,7 @@ movability and device selection."""
 import pytest
 
 from repro import ensemble
-from repro.opencl import reset_platforms
+from repro.opencl import Context, Program, find_device, reset_platforms
 from repro.runtime.oclenv import device_matrix, reset_device_matrix
 from repro.runtime.vm import EnsembleVM
 
@@ -124,9 +124,12 @@ class TestKernelExtraction:
         assert plan.kernel_name == "scale_kernel"
         assert plan.device_type == "GPU"
         assert [p.name for p in plan.params] == ["values", "factor"]
-        assert plan.written_params == ["values"]
-        assert "values" in plan.read_params
         assert not plan.in_movable
+        context = Context([find_device("GPU")])
+        program = Program(context, plan.kernel_source).build()
+        kernel = program.create_kernel(plan.kernel_name)
+        assert kernel.written_params == {"values"}
+        assert "values" in kernel.read_params
 
     def test_generated_source_is_valid_kernel_c(self):
         from repro import kernelc

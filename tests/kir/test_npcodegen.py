@@ -231,7 +231,7 @@ class TestWarpFolding:
                        dtype=np.int64)
         got = npcodegen.fold_group_warps(ops, gsz, lsz, SIMD)
         want = group_warp_costs(ops.tolist(), gsz, lsz, SIMD)
-        assert got == want
+        assert got.tolist() == want
 
     def test_two_dimensional_kernel_end_to_end(self):
         w, h = 16, 8

@@ -208,6 +208,49 @@ class TestExecution:
         assert program.run("minof", [data, 8]).value == 1.0
         assert program.run("sumof", [data, 8]).value == sum(data)
 
+    @pytest.mark.parametrize("gangs", [8, 512])
+    def test_float_sum_reduction_is_exact_at_any_gang_count(self, gangs):
+        """The partial-sum buffer takes the reduction variable's type;
+        an int buffer truncated each gang's float partial sum."""
+        program = AccProgram(
+            f"""
+            float sumof(__global float *a, int n) {{
+                float s = 0.0;
+                #pragma acc parallel loop reduction(+:s) copyin(a) num_gangs({gangs})
+                for (int i = 0; i < n; i++) {{ s = s + a[i]; }}
+                return s;
+            }}
+            """
+        )
+        assert program.run("sumof", [[0.25] * 4000, 4000]).value == 1000.0
+
+    @pytest.mark.parametrize("n", [8, 512])
+    def test_buffers_take_the_declared_type_not_the_host_values(self, n):
+        """Int-valued host data for a ``float`` array is stored as float,
+        on either tier and inside a data region."""
+        program = AccProgram(
+            """
+            void doubleit(__global float *a, int n) {
+                #pragma acc parallel loop copy(a) gang vector
+                for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }
+            }
+            void quarter(__global float *a, int n) {
+                #pragma acc data copy(a[0:n])
+                for (int r = 0; r < 2; r++) {
+                    #pragma acc parallel loop copy(a) gang vector
+                    for (int i = 0; i < n; i++) { a[i] = a[i] * 0.5; }
+                }
+            }
+            """
+        )
+        doubled = list(range(n))
+        program.run("doubleit", [doubled, n])
+        assert doubled == [2.0 * i for i in range(n)]
+        assert all(isinstance(v, float) for v in doubled)
+        quartered = [1] * n
+        program.run("quarter", [quartered, n])
+        assert quartered == [0.25] * n
+
     def test_report_records_decisions(self):
         program = AccProgram(
             """

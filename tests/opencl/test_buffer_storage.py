@@ -1,0 +1,222 @@
+"""Buffer storage and per-kernel static facts.
+
+A :class:`~repro.opencl.Buffer` keeps its contents in one NumPy array:
+transfers and both execution tiers work on that array in place, and
+``Buffer.data`` is a snapshot.  A kernel's read and written array sets
+are computed once, when its program is built, and shared by every
+``Kernel`` created from it.  An array index out of bounds raises the
+same typed error on either tier, on one device or split over two.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import kir
+from repro.errors import KirRuntimeError
+from repro.kir import ir
+from repro.opencl import (
+    Buffer,
+    CommandQueue,
+    Context,
+    Program,
+    dispatch,
+    find_device,
+    reset_platforms,
+)
+from repro.opencl.costmodel import cpu_spec, gpu_spec
+from repro.opencl.platform import Device
+from repro.trace import tracing
+
+SQUARE = """
+__kernel void square(__global float *a, __global float *out) {
+    int i = get_global_id(0);
+    out[i] = a[i] * a[i];
+}
+"""
+
+SHIFT = """
+__kernel void shift(__global float *a, __global float *out) {
+    int i = get_global_id(0);
+    out[i] = a[i + 1];
+}
+"""
+
+N = 512  # large enough for the vectorised tier
+
+
+@pytest.fixture(autouse=True)
+def _clean():
+    dispatch.configure(fusion=False)
+    reset_platforms()
+    yield
+    dispatch.configure(fusion=False)
+    reset_platforms()
+
+
+def _square_setup():
+    device = find_device("GPU")
+    context = Context([device])
+    queue = CommandQueue(context, device)
+    kernel = Program(context, SQUARE).build().create_kernel("square")
+    src, out = Buffer(context, N), Buffer(context, N)
+    kernel.set_arg(0, src)
+    kernel.set_arg(1, out)
+    return queue, kernel, src, out
+
+
+class TestOneStorage:
+    def test_np_view_is_the_same_array_throughout(self):
+        queue, kernel, src, out = _square_setup()
+        store = out.np_view()
+
+        queue.enqueue_write_buffer(out, [1.0] * N)
+        assert out.np_view() is store
+        queue.enqueue_write_buffer(src, [float(i) for i in range(N)])
+
+        with tracing() as tr:
+            queue.enqueue_nd_range_kernel(kernel, [8])
+            queue.finish()
+        assert tr.counter("dispatch.fallback.small-ndrange") == 1
+        assert out.np_view() is store
+        assert out.data[:9] == [float(i * i) for i in range(8)] + [1.0]
+
+        with tracing() as tr:
+            queue.enqueue_nd_range_kernel(kernel, [N])
+            queue.finish()
+        assert tr.counter("dispatch.fallback") == 0
+        assert out.np_view() is store
+
+        host = [0.0] * N
+        queue.enqueue_read_buffer(out, host)
+        assert out.np_view() is store
+        assert host == [float(i * i) for i in range(N)]
+
+        queue.enqueue_copy_buffer(src, out)
+        assert out.np_view() is store
+        assert out.data == src.data
+
+
+class TestDataSnapshot:
+    def test_data_is_a_new_list_and_mutating_it_changes_nothing(self):
+        queue, _, src, _ = _square_setup()
+        queue.enqueue_write_buffer(src, [2.0] * N)
+        first = src.data
+        second = src.data
+        assert first == second and first is not second
+        first[0] = 99.0
+        assert src.data[0] == 2.0
+        assert src.np_view()[0] == 2.0
+
+    def test_data_flushes_a_pending_fused_kernel(self):
+        queue, kernel, src, out = _square_setup()
+        dispatch.configure(fusion=True)
+        queue.enqueue_write_buffer(src, [3.0] * N)
+        with tracing() as tr:
+            queue.enqueue_nd_range_kernel(kernel, [N])
+            assert out.data == [9.0] * N
+        assert tr.counter("dispatch.fuse.reject.host-observe") == 1
+
+
+class TestReleaseFlushesFusion:
+    """Releasing memory runs a kernel deferred for fusion first, on the
+    contents it was enqueued against."""
+
+    def test_releasing_an_input_keeps_the_output(self):
+        queue, kernel, src, out = _square_setup()
+        dispatch.configure(fusion=True)
+        queue.enqueue_write_buffer(src, [3.0] * N)
+        queue.enqueue_nd_range_kernel(kernel, [N])
+        src.release()
+        host = [0.0] * N
+        queue.enqueue_read_buffer(out, host)
+        assert host == [9.0] * N
+
+    def test_releasing_the_context_dispatches_the_kernel(self):
+        queue, kernel, src, out = _square_setup()
+        dispatch.configure(fusion=True)
+        queue.enqueue_write_buffer(src, [3.0] * N)
+        queue.enqueue_nd_range_kernel(kernel, [N])
+        context = queue.context
+        context.release()
+        queue.finish()
+        assert context.ledger.kernel_launches == 1
+
+
+class TestAccessSetsComputedOnce:
+    def test_create_kernel_does_not_walk_the_ir(self, monkeypatch):
+        device = find_device("GPU")
+        context = Context([device])
+        queue = CommandQueue(context, device, out_of_order=True)
+        program = Program(context, SQUARE).build()
+
+        def walked(fn):
+            raise AssertionError("create_kernel walked the kernel IR")
+
+        for module in (kir, ir):
+            monkeypatch.setattr(module, "read_arrays", walked)
+            monkeypatch.setattr(module, "written_arrays", walked)
+
+        first = program.create_kernel("square")
+        second = program.create_kernel("square")
+        assert first.read_params == frozenset({"a"})
+        assert first.written_params == frozenset({"out"})
+        assert second.read_params is first.read_params
+        assert second.written_params is first.written_params
+
+        src, out = Buffer(context, N), Buffer(context, N)
+        second.set_arg(0, src)
+        second.set_arg(1, out)
+        entries = second.bound_entries(context)
+        assert second.buffer_access(entries) == ([src.id], [out.id])
+        write = queue.enqueue_write_buffer(src, [1.0] * N)
+        launch = queue.enqueue_nd_range_kernel(second, [N])
+        queue.finish()
+        # The out-of-order queue orders the read behind the write.
+        assert launch.sched_start_ns >= write.sched_end_ns
+        assert out.data == [1.0] * N
+
+
+def _split_setup(source, name, n):
+    devices = [
+        Device(gpu_spec(scale=0.1, name="split-gpu")),
+        Device(cpu_spec(name="split-cpu")),
+    ]
+    context = Context(devices)
+    kernel = Program(context, source).build().create_kernel(name)
+    kernel.set_arg(0, Buffer(context, n))
+    kernel.set_arg(1, Buffer(context, n))
+    return context, kernel
+
+
+def _assert_tier(tr, n):
+    """8 items run on the scalar tier, N on the vectorised one."""
+    if n < dispatch.VEC_MIN_ITEMS:
+        assert tr.counter("dispatch.fallback.small-ndrange") == 1
+    else:
+        assert tr.counter("dispatch.fallback") == 0
+
+
+class TestIndexOutOfRange:
+    @pytest.mark.parametrize("n", [8, N])
+    def test_single_device_raises_typed_error(self, n):
+        device = find_device("GPU")
+        context = Context([device])
+        queue = CommandQueue(context, device)
+        kernel = Program(context, SHIFT).build().create_kernel("shift")
+        kernel.set_arg(0, Buffer(context, n))
+        kernel.set_arg(1, Buffer(context, n))
+        with tracing() as tr:
+            with pytest.raises(KirRuntimeError, match="shift.*out of range"):
+                queue.enqueue_nd_range_kernel(kernel, [n])
+        _assert_tier(tr, n)
+
+    @pytest.mark.parametrize("n", [8, N])
+    def test_split_over_two_devices_raises_typed_error(self, n):
+        context, kernel = _split_setup(SHIFT, "shift", n)
+        weights = [dispatch.device_weight(d.spec) for d in context.devices]
+        assert all(dispatch.split_share_counts(n // 4, weights))
+        with tracing() as tr:
+            with pytest.raises(KirRuntimeError, match="shift.*out of range"):
+                context.enqueue_nd_range(kernel, [n], [4])
+        _assert_tier(tr, n)

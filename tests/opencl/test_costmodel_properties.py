@@ -7,6 +7,7 @@ warp's lanes, and price transfers as latency + bytes/bandwidth with
 asymmetric host-to-device / device-to-host links.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +159,36 @@ class TestWarpDivergence:
             [3, 1, 4, 4, 0, 2, 5, 0], (8,), (4,), 2
         )
         assert warps == [[3, 4], [2, 5]]
+
+
+@st.composite
+def group_warp_arrays(draw):
+    """Per-group warp op maxima: every group has the same warp count."""
+    groups = draw(st.integers(min_value=1, max_value=12))
+    warps = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(min_value=0, max_value=1 << 20),
+                   min_size=warps, max_size=warps)
+    return draw(st.lists(row, min_size=groups, max_size=groups))
+
+
+class TestGroupWarpPricing:
+    @settings(deadline=None)
+    @given(group_warp_arrays(),
+           st.integers(min_value=1, max_value=8),
+           st.floats(min_value=0.01, max_value=100.0))
+    def test_numpy_sums_price_exactly_as_the_reference_loop(
+        self, warps, cu, ops_per_ns
+    ):
+        """Folded warp arrays are summed per group in numpy; the price
+        must equal the reference loop's bit for bit."""
+        spec = make_spec(compute_units=cu, ops_per_ns=ops_per_ns)
+        reference = (
+            _schedule([sum(w) / spec.ops_per_ns for w in warps], cu)
+            + spec.kernel_launch_ns
+        )
+        folded = np.array(warps, dtype=np.int64)
+        assert spec.kernel_ns_from_group_warps(folded) == reference
+        assert spec.kernel_ns_from_group_warps(warps) == reference
 
 
 class TestTransferAsymmetry:

@@ -73,7 +73,7 @@ class TestResidency:
     def test_device_written_makes_device_authoritative(self, gpu_queue):
         array = ManagedArray([0.0] * 4, (4,))
         buf = array.to_device(gpu_queue)
-        buf.data[0] = 42.0  # simulate a kernel write
+        buf.np_view()[0] = 42.0  # simulate a kernel write
         array.mark_device_written()
         assert not array.host_valid
         assert array[0] == 42.0  # host access triggers read-back
@@ -96,7 +96,7 @@ class TestResidency:
     def test_cross_context_migration(self, gpu_queue, cpu_queue):
         array = ManagedArray([1.0, 2.0], (2,))
         gpu_buf = array.to_device(gpu_queue)
-        gpu_buf.data[0] = 9.0
+        gpu_buf.np_view()[0] = 9.0
         array.mark_device_written()
         # Arriving at a different context forces read-back + re-upload.
         cpu_buf = array.to_device(cpu_queue)
@@ -116,7 +116,7 @@ class TestResidency:
     ):
         array = ManagedArray([1.0, 2.0], (2,))
         buf = array.to_device(gpu_queue)
-        buf.data[1] = 5.0
+        buf.np_view()[1] = 5.0
         array.mark_device_written()
         clone = array.clone()
         assert clone.host() == [1.0, 5.0]

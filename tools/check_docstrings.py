@@ -2,11 +2,10 @@
 """Docstring lint for the documented core of the reproduction.
 
 Checks that every module under ``src/repro/opencl/``,
-``src/repro/kir/`` and ``src/repro/actors/`` (plus
-``src/repro/kcache.py``, ``src/repro/runtime/vm.py`` and
+``src/repro/kir/``, ``src/repro/actors/`` and ``src/repro/runtime/``
+(plus ``src/repro/kcache.py``, ``src/repro/openacc/runtime.py`` and
 ``src/repro/harness/chaos.py``) carries a module docstring, and that
-each
-top-level *public* class and function in those modules states a
+each top-level *public* class and function in those modules states a
 one-line contract.  CI runs this so the scheduling/dispatch/
 reliability layers the architecture and reliability documents describe
 cannot silently lose their contracts.
@@ -28,7 +27,8 @@ TARGETS = [
     os.path.join("src", "repro", "kir"),
     os.path.join("src", "repro", "actors"),
     os.path.join("src", "repro", "kcache.py"),
-    os.path.join("src", "repro", "runtime", "vm.py"),
+    os.path.join("src", "repro", "runtime"),
+    os.path.join("src", "repro", "openacc", "runtime.py"),
     os.path.join("src", "repro", "harness", "chaos.py"),
 ]
 
@@ -42,6 +42,8 @@ REQUIRED = [
     os.path.join("src", "repro", "kir", "fuse.py"),
     os.path.join("src", "repro", "kir", "npcodegen.py"),
     os.path.join("src", "repro", "runtime", "vm.py"),
+    os.path.join("src", "repro", "runtime", "residency.py"),
+    os.path.join("src", "repro", "openacc", "runtime.py"),
     os.path.join("src", "repro", "harness", "chaos.py"),
 ]
 
