@@ -163,13 +163,11 @@ class KernelActor(Actor):
         if faults.active_plan() is None:
             return
         env = self.env
-        faults.host_gate(
+        faults.gate(
             "handoff",
             f"{self.kernel_name}.output",
             env.device.spec.api_call_ns,
-            lambda ns, name, args: env.context.charge(
-                "host", ns, name=name, args=args
-            ),
+            env.context.charge,
             span_name="fault.ensemble.handoff",
         )
 

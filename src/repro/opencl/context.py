@@ -254,53 +254,27 @@ class Context:
     def _decide_split_faults(self, kernel, participating: list) -> list:
         """Take the fault decisions for a multi-device split dispatch.
 
-        Each participating device consults the plan under the same
-        ``<kernel>@<device>`` key a solo dispatch would use.  Transient
-        faults retry in place (each aborted launch charged, backoff
-        charged as host time); a ``device-lost`` fault marks the device
-        and hands its work-group share to the survivors, re-split by
-        throughput weight (``fault.failover``).  Raises when a
-        permanent fault exhausts its retries or no device survives.
+        Each participating queue runs its own fault gate under the same
+        ``<kernel>@<device>`` key a solo dispatch would use, so
+        transients retry in place.  A device whose gate raises
+        :class:`~repro.errors.CLDeviceLost` is marked lost and its
+        work-group share goes to the survivors, re-split by throughput
+        weight (``fault.failover``).  Raises when a fault exhausts its
+        retries or no device survives.
         """
         from . import dispatch
 
-        policy = faults.retry_policy()
-        plan = faults.active_plan()
         survivors: list = []
         lost_shares = 0
         lost_count = 0
         for queue, share in participating:
-            key = f"{kernel.name}@{queue.device.name}"
-            attempt = 1
-            lost = False
-            while True:
-                fault = plan.decide("kernel", key)
-                if fault is None:
-                    break
-                faults.count_injection(fault)
-                self.charge(
+            try:
+                queue._fault_gate(
                     "kernel",
+                    f"{kernel.name}@{queue.device.name}",
                     queue.device.spec.kernel_launch_ns,
-                    name="fault.kernel",
-                    track=f"device/{queue.device.name}",
-                    args={"key": key, "kind": fault.kind},
                 )
-                if fault.kind == faults.DEVICE_LOST:
-                    queue.device.mark_lost()
-                    lost = True
-                    break
-                if fault.transient and attempt < policy.max_attempts:
-                    if policy.backoff_ns > 0.0:
-                        self.charge(
-                            "host",
-                            policy.backoff_ns * attempt,
-                            name="fault.backoff",
-                        )
-                    faults.count_retry()
-                    attempt += 1
-                    continue
-                raise faults.exception_for(fault, kernel.name)
-            if lost:
+            except CLDeviceLost:
                 lost_shares += share
                 lost_count += 1
             else:
@@ -369,35 +343,20 @@ class Context:
     ) -> None:
         """Price one host API call (and give the fault plan its shot).
 
-        An injected ``api`` fault charges the failed call, retries
-        transients per the active :class:`~repro.opencl.faults
-        .RetryPolicy`, and surfaces as :class:`~repro.errors
-        .CLOutOfHostMemory` when permanent or exhausted.
+        An injected ``api`` fault goes through
+        :func:`~repro.opencl.faults.gate`: the failed call is charged
+        as ``fault.<name>`` host time, transients retry, and a
+        permanent or exhausted fault surfaces as
+        :class:`~repro.errors.CLOutOfHostMemory`.  The call names no
+        device, so a ``device-lost`` fault raises
+        :class:`~repro.errors.CLDeviceLost` and marks nothing lost.
         """
         spec = (device or self.devices[0]).spec
-        plan = faults.active_plan()
-        if plan is not None:
-            policy = faults.retry_policy()
-            attempt = 1
-            while True:
-                fault = plan.decide("api", name)
-                if fault is None:
-                    break
-                faults.count_injection(fault)
-                self.charge(
-                    "host", spec.api_call_ns, name=f"fault.{name}"
-                )
-                if fault.transient and attempt < policy.max_attempts:
-                    if policy.backoff_ns > 0.0:
-                        self.charge(
-                            "host",
-                            policy.backoff_ns * attempt,
-                            name="fault.backoff",
-                        )
-                    faults.count_retry()
-                    attempt += 1
-                    continue
-                raise faults.exception_for(fault, name)
+        if faults.active_plan() is not None:
+            faults.gate(
+                "api", name, spec.api_call_ns, self.charge,
+                span_name=f"fault.{name}",
+            )
         with self.ledger._lock:
             self.ledger.api_calls += 1
         self.charge("host", spec.api_call_ns, name=name)

@@ -15,6 +15,7 @@ Operations a plan can fail (the ``op`` vocabulary):
 ``d2h``      device-to-host buffer reads
 ``kernel``   NDRange kernel dispatch
 ``api``      host API calls charged via ``Context.charge_api_call``
+             (names no device: ``device-lost`` raises, marks nothing)
 ``vec``      the vectorised execution tier (degrades to scalar tiers)
 ``native``   VM ``invokenative`` host calls (``fault.vm.native``)
 ``vm``       VM-driven kernel-actor dispatch (``fault.vm.dispatch``)
@@ -44,9 +45,15 @@ program-determined (true for host-driven workloads; actor pipelines
 that race buffer creation should pin faults with explicit specs on the
 name-based kernel/build/api keys instead).
 
-The failed attempts and the simulated backoff between retries are
-charged to the cost model (``fault.<op>`` / ``fault.backoff`` charge
-names on the substrate; ``fault.vm.native`` / ``fault.vm.dispatch`` /
+**One gate.**  Every site that retries — queue transfers and
+dispatches, multi-device split shares, API calls, builds, and the
+VM/Ensemble sites — calls :func:`gate`, which owns the whole failure
+contract: decide, charge the aborted attempt, mark a lost device,
+retry a transient with backoff, then raise.  Only the ``vec`` tier
+decides on its own, because it degrades instead of retrying.  The
+failed attempts and the simulated backoff are charged to the cost
+model (``fault.<op>`` / ``fault.backoff`` charge names on the
+substrate; ``fault.vm.native`` / ``fault.vm.dispatch`` /
 ``fault.ensemble.handoff`` on the VM/Ensemble path — every fault
 charge keeps the ``fault.`` span-name prefix, which is what the chaos
 harness's recovery-cost oracle keys on), so priced totals of a faulted
@@ -345,14 +352,21 @@ def exception_for(fault: Fault, detail: str = "") -> CLError:
     """The :mod:`repro.errors` instance matching an injected *fault*.
 
     ``device-lost`` maps to :class:`CLDeviceLost` for every op; builds
-    map to :class:`CLBuildProgramFailure` (with an injected build log);
+    map to :class:`CLBuildProgramFailure` whose build log reads
+    ``injected <kind> build fault on <device> (occurrence <n>)``;
     other ops map per :data:`_EXC_OF_OP`.  The instance carries the
     fault on ``.fault`` and its retryability on ``.transient``.
     """
-    message = (
-        f"injected {fault.kind} fault on {fault.op} "
-        f"[{fault.key} #{fault.occurrence}]"
-    )
+    if fault.op == "build":
+        message = (
+            f"injected {fault.kind} build fault on {fault.key} "
+            f"(occurrence {fault.occurrence})"
+        )
+    else:
+        message = (
+            f"injected {fault.kind} fault on {fault.op} "
+            f"[{fault.key} #{fault.occurrence}]"
+        )
     if detail:
         message = f"{message}: {detail}"
     if fault.kind == DEVICE_LOST:
@@ -390,33 +404,36 @@ def count_failover() -> None:
         tracer.count("fault.failover")
 
 
-def host_gate(
+def gate(
     op: str,
     key: str,
     attempt_ns: float,
     charge,
     *,
+    category: str = "host",
+    track: Optional[str] = None,
     span_name: Optional[str] = None,
     device=None,
 ) -> None:
-    """Generic fault gate for host-side injection sites (VM/runtime).
+    """The fault gate every retrying injection site calls.
 
-    The exact idiom of the substrate gates
-    (:meth:`repro.opencl.queue.CommandQueue._fault_gate`), factored out
-    so the VM/Ensemble path charges failed attempts and backoff
-    identically: each injected failure calls ``charge(ns, name, args)``
-    with the aborted attempt (*attempt_ns* under *span_name*, default
-    ``fault.<op>``), transient faults retry up to the active
-    :class:`RetryPolicy` bound with ``fault.backoff`` host time charged
-    per attempt, ``device-lost`` marks *device* lost (when given) and
-    raises :class:`~repro.errors.CLDeviceLost`, and unrecoverable
-    faults raise per :func:`exception_for`.  With no plan installed the
-    gate is a single ``None`` check.
+    Returns normally when occurrence *key* of *op* may proceed.  Each
+    injected failure counts the injection and charges the aborted
+    attempt, ``charge(category, attempt_ns, name=..., track=track,
+    args={"key": key, "kind": kind})``, where *charge* has
+    :meth:`repro.opencl.context.Context.charge`'s signature and the
+    span name is *span_name* (default ``fault.<op>``).  A
+    ``device-lost`` fault marks *device* lost (when given) and raises
+    :class:`~repro.errors.CLDeviceLost`; a transient one retries up to
+    the active :class:`RetryPolicy` bound, charging ``fault.backoff``
+    as ``"host"`` time on *charge*'s default track before each retry;
+    anything else raises per :func:`exception_for`.  With no plan
+    installed the gate is a single ``None`` check.
     """
-    plan = active_plan()
+    plan = _plan
     if plan is None:
         return
-    policy = retry_policy()
+    policy = _policy
     name = span_name or f"fault.{op}"
     attempt = 1
     while True:
@@ -425,15 +442,21 @@ def host_gate(
             return
         count_injection(fault)
         if attempt_ns > 0.0:
-            charge(attempt_ns, name, {"key": key, "kind": fault.kind})
-        if fault.kind == DEVICE_LOST:
-            if device is not None:
-                device.mark_lost()
-                raise exception_for(fault, f"device {device.name!r}")
-            raise exception_for(fault)
+            charge(
+                category,
+                attempt_ns,
+                name=name,
+                track=track,
+                args={"key": key, "kind": fault.kind},
+            )
+        if fault.kind == DEVICE_LOST and device is not None:
+            device.mark_lost()
+            raise exception_for(fault, f"device {device.name!r}")
         if fault.transient and attempt < policy.max_attempts:
             if policy.backoff_ns > 0.0:
-                charge(policy.backoff_ns * attempt, "fault.backoff", None)
+                charge(
+                    "host", policy.backoff_ns * attempt, name="fault.backoff"
+                )
             count_retry()
             attempt += 1
             continue

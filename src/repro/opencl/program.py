@@ -77,6 +77,10 @@ class Program:
         pair through a different Program object charges only an API call
         ("load_program_binary") and reuses the registered binary.
         Raises :class:`CLBuildProgramFailure` with a build log on error.
+        An injected ``build`` fault (:func:`~repro.opencl.faults.gate`)
+        charges the failed compile in full and retries transients; a
+        ``device-lost`` one marks the device lost and raises
+        :class:`~repro.errors.CLDeviceLost`.
         """
         targets = devices if devices is not None else self.context.devices
         for device in targets:
@@ -99,8 +103,14 @@ class Program:
                     self._built[device.id] = cached
                     self.build_log = "build succeeded"
                     continue
-                self._fault_gate(device)
                 try:
+                    faults.gate(
+                        "build",
+                        device.name,
+                        device.spec.compile_ns,
+                        self.context.charge,
+                        device=device,
+                    )
                     compiled = device.compile_source(self.source)
                 except CLBuildProgramFailure as exc:
                     self.build_log = exc.build_log
@@ -115,50 +125,6 @@ class Program:
                 self._built[device.id] = compiled
                 self.build_log = "build succeeded"
         return self
-
-    def _fault_gate(self, device: Device) -> None:
-        """Give the active fault plan its shot at this device's build.
-
-        A faulted compile is charged in full (the compiler ran and
-        failed); transients retry per the active policy and exhaustion
-        raises :class:`CLBuildProgramFailure` carrying the injected
-        fault and a synthetic build log.
-        """
-        plan = faults.active_plan()
-        if plan is None:
-            return
-        policy = faults.retry_policy()
-        attempt = 1
-        while True:
-            fault = plan.decide("build", device.name)
-            if fault is None:
-                return
-            faults.count_injection(fault)
-            self.context.charge(
-                "host",
-                device.spec.compile_ns,
-                name="fault.build",
-                args={"device": device.name, "kind": fault.kind},
-            )
-            if fault.transient and attempt < policy.max_attempts:
-                if policy.backoff_ns > 0.0:
-                    self.context.charge(
-                        "host",
-                        policy.backoff_ns * attempt,
-                        name="fault.backoff",
-                    )
-                faults.count_retry()
-                attempt += 1
-                continue
-            log = (
-                f"injected {fault.kind} build fault on {device.name} "
-                f"(occurrence {fault.occurrence})"
-            )
-            self.build_log = log
-            exc = CLBuildProgramFailure(log, build_log=log)
-            exc.fault = fault
-            exc.transient = fault.transient
-            raise exc
 
     def retain(self) -> None:
         """Increment the reference count (a shared acquirer)."""

@@ -190,7 +190,6 @@ class CommandQueue:
         self.context = context
         self.device = device
         self.out_of_order = bool(out_of_order)
-        self.events: list[Event] = []
         self.released = False
         # -- schedule state (all timestamps queue-local, origin 0) ----
         #: what an in-order drain of the same commands would take
@@ -417,7 +416,6 @@ class CommandQueue:
             ),
             placed=True,
         )
-        self.events.append(event)
         return event
 
     def _stamp_and_charge(
@@ -454,7 +452,6 @@ class CommandQueue:
             ),
             placed=True,
         )
-        self.events.append(event)
         return event
 
     def _mark_kernel_written(self, entries: Sequence, writes: Iterable[int]) -> None:
@@ -556,52 +553,20 @@ class CommandQueue:
             )
 
     def _fault_gate(self, op: str, key: str, attempt_ns: float) -> None:
-        """Consult the installed fault plan before a chargeable command.
-
-        Returns normally when the operation may proceed.  Each injected
-        failure charges the aborted attempt (*attempt_ns* in the op's
-        own cost category) so faulted runs price deterministically;
-        transient faults are retried up to the
-        :class:`~repro.opencl.faults.RetryPolicy` bound with simulated
-        backoff charged as host time; ``device-lost`` marks the device
-        lost; unrecoverable faults raise the matching
-        :mod:`repro.errors` subclass carrying the original fault.
-        """
-        plan = faults.active_plan()
-        if plan is None:
-            return
-        policy = faults.retry_policy()
-        category = "kernel" if op == "kernel" else op
-        attempt = 1
-        while True:
-            fault = plan.decide(op, key)
-            if fault is None:
-                return
-            faults.count_injection(fault)
-            if attempt_ns > 0.0:
-                self.context.charge(
-                    category,
-                    attempt_ns,
-                    name=f"fault.{op}",
-                    track=f"device/{self.device.name}",
-                    args={"key": key, "kind": fault.kind},
-                )
-            if fault.kind == faults.DEVICE_LOST:
-                self.device.mark_lost()
-                raise faults.exception_for(
-                    fault, f"device {self.device.name!r}"
-                )
-            if fault.transient and attempt < policy.max_attempts:
-                if policy.backoff_ns > 0.0:
-                    self.context.charge(
-                        "host",
-                        policy.backoff_ns * attempt,
-                        name="fault.backoff",
-                    )
-                faults.count_retry()
-                attempt += 1
-                continue
-            raise faults.exception_for(fault)
+        """Give the installed fault plan its shot at one command
+        (:func:`repro.opencl.faults.gate`): aborted attempts are charged
+        in the op's own category on this device's track, and a
+        ``device-lost`` fault marks this device lost."""
+        if faults.active_plan() is not None:
+            faults.gate(
+                op,
+                key,
+                attempt_ns,
+                self.context.charge,
+                category=op,
+                track=f"device/{self.device.name}",
+                device=self.device,
+            )
 
     # -- data movement ------------------------------------------------------
 
@@ -869,7 +834,6 @@ class CommandQueue:
                     "_e2e_epoch",
                 ):
                     setattr(produced, attr, getattr(event, attr))
-                self.events.insert(len(self.events) - 1, produced)
                 return event
             self._flush_pending(plan)
         event = Event(
@@ -1005,7 +969,6 @@ class CommandQueue:
             self._e2e_fence = max(self._e2e_fence, e2e_at)
             if wait_for is None:
                 self._sync_schedule()
-        self.events.append(event)
         return event
 
     # -- lifecycle -----------------------------------------------------------

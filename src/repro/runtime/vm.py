@@ -45,6 +45,12 @@ from .values import StructValue, index_value, length_of, store_value
 #: bytecodes considerably faster than a naive switch interpreter.
 BYTECODE_NS = 4.0
 
+#: Simulated cost per element of a bulk data native (fill, min,
+#: checksum): optimised-C host speed, the rate the interpreted
+#: single-threaded/OpenACC hosts are priced at (~6 simple ops per
+#: element at 10 ops/ns).
+FILL_NS = 0.6
+
 _MATH_NATIVES = {
     "sqrt": math.sqrt,
     "fabs": abs,
@@ -194,38 +200,17 @@ class EnsembleVM:
     # -- cost accounting ---------------------------------------------------
 
     def charge(
-        self, instructions: int, actor: Optional[VMActor] = None
-    ) -> None:
-        ns = instructions * BYTECODE_NS
-        now = self.clock.advance(ns)
-        self.ledger.charge("host", ns)
-        self.clock.timeline.serial_advance("api", ns)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.cost_span(
-                "host",
-                ns,
-                name="vm.bytecode",
-                track=self._track(actor),
-                ts_ns=now - ns,
-                args={"instructions": instructions},
-            )
-
-    def _track(self, actor: Optional[VMActor]) -> str:
-        return f"vm/{actor.name if actor is not None else self.stage.name}"
-
-    # -- fault injection (the VM-side gates) -------------------------------
-
-    def _charge_fault(
         self,
         ns: float,
         name: str,
-        actor: Optional[VMActor],
-        args: Optional[dict],
+        actor: Optional[VMActor] = None,
+        args: Optional[dict] = None,
     ) -> None:
-        """Price one aborted attempt / backoff exactly like VM work:
-        simulated host time on the VM ledger, serial on the composed
-        timeline, a cost span on the actor's track."""
+        """Price *ns* of VM work as simulated host time: on the VM
+        ledger, serial on the composed timeline, and as a cost span
+        named *name* on the actor's track (the stage's when *actor* is
+        ``None``).  Bytecode, bulk natives and fault attempts and
+        backoff all charge through here."""
         now = self.clock.advance(ns)
         self.ledger.charge("host", ns)
         self.clock.timeline.serial_advance("api", ns)
@@ -240,6 +225,11 @@ class EnsembleVM:
                 args=args,
             )
 
+    def _track(self, actor: Optional[VMActor]) -> str:
+        return f"vm/{actor.name if actor is not None else self.stage.name}"
+
+    # -- fault injection (the VM-side gates) -------------------------------
+
     def _fault_gate(
         self,
         op: str,
@@ -249,14 +239,16 @@ class EnsembleVM:
         actor: Optional[VMActor],
         device=None,
     ) -> None:
-        """Consult the fault plan before a VM-side operation, charging
-        attempts and backoff through :meth:`_charge_fault` with the
-        substrate's retry/raise semantics (:func:`faults.host_gate`)."""
-        faults.host_gate(
+        """Consult the fault plan before a VM-side operation
+        (:func:`faults.gate`), pricing attempts and backoff as VM host
+        time on the actor's track."""
+        faults.gate(
             op,
             key,
             attempt_ns,
-            lambda ns, name, args: self._charge_fault(ns, name, actor, args),
+            lambda category, ns, name, track=None, args=None: self.charge(
+                ns, name, actor, args
+            ),
             span_name=span_name,
             device=device,
         )
@@ -439,7 +431,10 @@ class EnsembleVM:
                 else:
                     raise VMError(f"unknown opcode {op!r}")
         finally:
-            self.charge(executed, actor)
+            self.charge(
+                executed * BYTECODE_NS, "vm.bytecode", actor,
+                {"instructions": executed},
+            )
         return None
 
     # -- operations ----------------------------------------------------------
@@ -521,7 +516,8 @@ class EnsembleVM:
             for i in range(len(flat)):
                 value = (i * mul + inc) % mod + off
                 flat[i] = float(value) / divisor if is_real else value
-            self._charge_fill(len(flat))
+            self.charge(FILL_NS * len(flat), "vm.native_fill",
+                        args={"elements": len(flat)})
             return None
         if name == "fillPattern2D":
             arr, rm, cm, inc, mod, off, divisor = args
@@ -535,7 +531,8 @@ class EnsembleVM:
                     flat[base + j] = (
                         float(value) / divisor if is_real else value
                     )
-            self._charge_fill(len(flat))
+            self.charge(FILL_NS * len(flat), "vm.native_fill",
+                        args={"elements": len(flat)})
             return None
         if name == "fillPatternCond2D":
             arr, rm, cm, mod, rm2, cm2, mod2, off2 = args
@@ -548,14 +545,16 @@ class EnsembleVM:
                         flat[base + j] = (i * rm2 + j * cm2) % mod2 + off2
                     else:
                         flat[base + j] = 0
-            self._charge_fill(len(flat))
+            self.charge(FILL_NS * len(flat), "vm.native_fill",
+                        args={"elements": len(flat)})
             return None
         if name == "minElement":
             array = args[0]
             if not isinstance(array, ManagedArray):
                 raise VMError("minElement expects an array")
             flat = array.host()
-            self._charge_fill(len(flat))
+            self.charge(FILL_NS * len(flat), "vm.native_fill",
+                        args={"elements": len(flat)})
             return min(flat)
         if name == "checksumWeighted":
             # Verification apparatus (not part of the paper's apps): a
@@ -567,7 +566,8 @@ class EnsembleVM:
             total = 0.0
             for i, value in enumerate(flat):
                 total += (i % 97 + 1) * value
-            self._charge_fill(len(flat))
+            self.charge(FILL_NS * len(flat), "vm.native_fill",
+                        args={"elements": len(flat)})
             if array.dtype == "int":
                 return int(total)
             return total
@@ -581,25 +581,6 @@ class EnsembleVM:
         if fn is None:
             raise VMError(f"unknown native {name!r}")
         return fn(*args)
-
-    def _charge_fill(self, elements: int) -> None:
-        """Bulk data natives run at optimised-C host speed (the same
-        rate the interpreted single-threaded/OpenACC hosts are priced
-        at: ~6 simple ops per element at 10 ops/ns)."""
-        ns = 0.6 * elements
-        now = self.clock.advance(ns)
-        self.ledger.charge("host", ns)
-        self.clock.timeline.serial_advance("api", ns)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.cost_span(
-                "host",
-                ns,
-                name="vm.native_fill",
-                track=f"vm/{self.stage.name}",
-                ts_ns=now - ns,
-                args={"elements": elements},
-            )
 
     def _print(self, text: str) -> None:
         with self._out_lock:

@@ -5,6 +5,9 @@ aliased: a busy device must delay START past SUBMIT (queueing delay),
 and consecutive commands on one device must never overlap.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import CLInvalidValue
@@ -39,9 +42,10 @@ class TestIdleDevice:
         ctx = Context([device], clock=SimClock())
         queue = CommandQueue(ctx, device)
         buf = Buffer(ctx, 64)
-        for _ in range(4):
-            queue.enqueue_write_buffer(buf, [0.0] * 64)
-        for prev, cur in zip(queue.events, queue.events[1:]):
+        events = [
+            queue.enqueue_write_buffer(buf, [0.0] * 64) for _ in range(4)
+        ]
+        for prev, cur in zip(events, events[1:]):
             assert cur.queued_ns >= prev.queued_ns
             assert cur.start_ns >= prev.end_ns
 
@@ -117,3 +121,18 @@ class TestProfilingInfo:
         event = queue.enqueue_write_buffer(buf, [0.0] * 4)
         with pytest.raises(CLInvalidValue):
             event.profiling_info("COMPLETE")
+
+
+class TestEventLifetime:
+    def test_queue_keeps_no_event_history(self):
+        """A long-lived queue must not pin the events it returned."""
+        device = make_device()
+        ctx = Context([device], clock=SimClock())
+        queue = CommandQueue(ctx, device)
+        buf = Buffer(ctx, 8)
+        refs = [
+            weakref.ref(queue.enqueue_write_buffer(buf, [1.0] * 8))
+            for _ in range(100)
+        ]
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

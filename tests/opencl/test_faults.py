@@ -262,6 +262,17 @@ class TestKernelAndApiFaults:
         context.charge_api_call(name="clRetainContext")
         assert context.ledger.api_calls == 1
 
+    def test_device_lost_api_fault_marks_no_device(self):
+        """An API call names no device: the loss surfaces, nothing is
+        marked lost."""
+        dispatch.configure(
+            faults=FaultPlan([FaultSpec("api", kind=DEVICE_LOST)]),
+        )
+        device, context, _ = gpu_context()
+        with pytest.raises(CLDeviceLost):
+            context.charge_api_call(device, name="clRetainContext")
+        assert not device.lost
+
 
 class TestBuildFaults:
     def test_transient_build_recovers(self):
@@ -282,6 +293,16 @@ class TestBuildFaults:
         assert "injected permanent build fault" in info.value.build_log
         assert info.value.fault.op == "build"
 
+    def test_device_lost_build_loses_the_device(self):
+        dispatch.configure(
+            faults=FaultPlan([FaultSpec("build", kind=DEVICE_LOST)])
+        )
+        device, context, _ = gpu_context()
+        with pytest.raises(CLDeviceLost) as info:
+            cl.Program(context, SRC).build()
+        assert info.value.fault.op == "build"
+        assert device.lost
+
     def test_faulted_build_charges_the_compile(self):
         dispatch.configure(
             faults=FaultPlan([FaultSpec("build", kind=TRANSIENT)])
@@ -290,6 +311,102 @@ class TestBuildFaults:
         cl.Program(context, SRC).build()
         # Two compile attempts charged (failed + succeeded).
         assert context.ledger.host_ns >= 2 * device.spec.compile_ns
+
+
+def _fill_kernel(context, n):
+    kernel = cl.Program(context, SRC).build().create_kernel("fill")
+    kernel.set_arg(0, cl.Buffer(context, n, dtype="int"))
+    kernel.set_arg(1, 3)
+    return kernel
+
+
+def _transfer_site(to_device):
+    device, context, queue = gpu_context()
+    buf = cl.Buffer(context, 8, dtype="int")
+    queue.enqueue_write_buffer(buf, list(range(8)))
+    if not to_device:
+        queue.enqueue_read_buffer(buf, [0] * 8)
+    op = "h2d" if to_device else "d2h"
+    attempt_ns = device.spec.transfer_ns(buf.nbytes, to_device=to_device)
+    return context, (f"fault.{op}", op, f"device/{device.name}",
+                     attempt_ns, "buf0")
+
+
+def _kernel_site():
+    device, context, queue = gpu_context()
+    queue.enqueue_nd_range_kernel(_fill_kernel(context, 16), (16,))
+    return context, ("fault.kernel", "kernel", f"device/{device.name}",
+                     device.spec.kernel_launch_ns, f"fill@{device.name}")
+
+
+def _api_site():
+    device, context, _ = gpu_context()
+    context.charge_api_call(name="clRetainContext")
+    return context, ("fault.clRetainContext", "host",
+                     f"host/context-{context.id}", device.spec.api_call_ns,
+                     "clRetainContext")
+
+
+def _build_site():
+    device, context, _ = gpu_context()
+    cl.Program(context, SRC).build()
+    return context, ("fault.build", "host", f"host/context-{context.id}",
+                     device.spec.compile_ns, device.name)
+
+
+def _split_site():
+    devices = cl.get_platforms()[0].devices
+    context = cl.Context(devices)
+    context.enqueue_nd_range(_fill_kernel(context, 1024), (1024,), (64,))
+    gpu = next(d for d in devices if d.device_type == "GPU")
+    return context, ("fault.kernel", "kernel", f"device/{gpu.name}",
+                     gpu.spec.kernel_launch_ns, f"fill@{gpu.name}")
+
+
+#: site -> (the one transient fault, workload returning its context and
+#: the expected attempt span's name, category, track, duration and key).
+#: The split pins its key to the GPU so only one participant faults.
+FAULT_SITES = {
+    "h2d": (FaultSpec("h2d"), lambda: _transfer_site(True)),
+    "d2h": (FaultSpec("d2h"), lambda: _transfer_site(False)),
+    "kernel": (FaultSpec("kernel"), _kernel_site),
+    "api": (FaultSpec("api"), _api_site),
+    "build": (FaultSpec("build"), _build_site),
+    "split": (FaultSpec("kernel", key="fill@*R9*"), _split_site),
+}
+
+
+class TestFaultSpans:
+    @pytest.mark.parametrize("site", list(FAULT_SITES))
+    def test_one_attempt_and_one_backoff_priced(self, site):
+        spec, workload = FAULT_SITES[site]
+        cl.reset_platforms()
+        clean_context, _ = workload()
+        expected = ledger_totals(clean_context.ledger)
+
+        cl.reset_platforms()
+        dispatch.configure(
+            faults=FaultPlan([spec]),
+            retry=RetryPolicy(max_attempts=3, backoff_ns=500.0),
+        )
+        with tracing() as tracer:
+            context, (name, category, track, attempt_ns, key) = workload()
+        attempts = [
+            (s.category, s.track, s.dur_ns, s.args)
+            for s in tracer.spans if s.name == name
+        ]
+        assert attempts == [
+            (category, track, attempt_ns, {"key": key, "kind": TRANSIENT})
+        ]
+        backoffs = [
+            (s.category, s.track, s.dur_ns)
+            for s in tracer.spans if s.name == "fault.backoff"
+        ]
+        assert backoffs == [("host", f"host/context-{context.id}", 500.0)]
+        assert tracer.counters()["fault.retry"] == 1
+        expected[f"{category}_ns"] += attempt_ns
+        expected["host_ns"] += 500.0
+        assert ledger_totals(context.ledger) == pytest.approx(expected)
 
 
 class TestDeviceLoss:

@@ -63,26 +63,30 @@ def _setup(out_of_order):
     return ctx, queue, program
 
 
-def _run_stream(out_of_order):
+def _run_stream(out_of_order, events=None):
     """A stream with independent and dependent commands; returns the
-    queue, final buffer contents and the recorded events."""
+    queue, context and final buffer contents, and appends the events
+    its enqueue calls return to *events* when given."""
+    events = [] if events is None else events
     reset_platforms()  # fresh Device objects: no busy-state carry-over
     with fresh_clock():
         ctx, queue, program = _setup(out_of_order)
         a = Buffer(ctx, N)
         b = Buffer(ctx, N)
-        queue.enqueue_write_buffer(a, [float(i) for i in range(N)])
-        queue.enqueue_write_buffer(b, [1.0] * N)
+        events.append(
+            queue.enqueue_write_buffer(a, [float(i) for i in range(N)])
+        )
+        events.append(queue.enqueue_write_buffer(b, [1.0] * N))
         scale = program.create_kernel("scale2")
         scale.set_arg(0, a)
-        queue.enqueue_nd_range_kernel(scale, [N], [16])
+        events.append(queue.enqueue_nd_range_kernel(scale, [N], [16]))
         add = program.create_kernel("addinto")
         add.set_arg(0, a)
         add.set_arg(1, b)
-        queue.enqueue_nd_range_kernel(add, [N], [16])
+        events.append(queue.enqueue_nd_range_kernel(add, [N], [16]))
         out_a, out_b = [0.0] * N, [0.0] * N
-        queue.enqueue_read_buffer(a, out_a)
-        queue.enqueue_read_buffer(b, out_b)
+        events.append(queue.enqueue_read_buffer(a, out_a))
+        events.append(queue.enqueue_read_buffer(b, out_b))
         queue.finish()
         return queue, ctx, (out_a, out_b)
 
@@ -96,13 +100,14 @@ class TestEquivalence:
         assert ctx_in.ledger.kernel_launches == ctx_ooo.ledger.kernel_launches
 
     def test_profiling_timestamps_mode_independent(self):
-        q_in, _, _ = _run_stream(out_of_order=False)
-        q_ooo, _, _ = _run_stream(out_of_order=True)
-        stamps = lambda q: [
+        ev_in, ev_ooo = [], []
+        _run_stream(out_of_order=False, events=ev_in)
+        _run_stream(out_of_order=True, events=ev_ooo)
+        stamps = lambda events: [
             (e.command, e.queued_ns, e.submit_ns, e.start_ns, e.end_ns)
-            for e in q.events
+            for e in events
         ]
-        assert stamps(q_in) == stamps(q_ooo)
+        assert stamps(ev_in) == stamps(ev_ooo)
 
     def test_ooo_makespan_never_longer(self):
         q_in, _, _ = _run_stream(out_of_order=False)
@@ -112,23 +117,25 @@ class TestEquivalence:
         assert q_ooo.overlap_ns >= 0.0
 
     def test_in_order_schedule_is_the_serial_chain(self):
-        q, _, _ = _run_stream(out_of_order=False)
+        events = []
+        q, _, _ = _run_stream(out_of_order=False, events=events)
         assert q.makespan_ns == pytest.approx(q.serial_makespan_ns)
         assert q.overlap_ns == 0.0
         end = 0.0
-        for event in q.events:
+        for event in events:
             if event.command in (opencl.MARKER, opencl.BARRIER):
                 continue
             assert event.sched_start_ns == pytest.approx(end)
             end = event.sched_end_ns
 
     def test_ooo_schedule_is_deterministic(self):
-        q1, _, _ = _run_stream(out_of_order=True)
-        q2, _, _ = _run_stream(out_of_order=True)
-        sched = lambda q: [
-            (e.command, e.sched_start_ns, e.sched_end_ns) for e in q.events
+        ev1, ev2 = [], []
+        _run_stream(out_of_order=True, events=ev1)
+        _run_stream(out_of_order=True, events=ev2)
+        sched = lambda events: [
+            (e.command, e.sched_start_ns, e.sched_end_ns) for e in events
         ]
-        assert sched(q1) == sched(q2)
+        assert sched(ev1) == sched(ev2)
 
 
 class TestHazards:

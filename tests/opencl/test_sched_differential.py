@@ -125,10 +125,11 @@ def _execute(program, out_of_order):
         host0 = clock.timeline.host_pos_ns
 
         placements, durations, profiling, read_outs = [], [], [], []
+        recorded = [[] for _ in queues]  # each queue's returned events
         for kind, q, spec in ops:
             queue = queues[q]
             dev_spec = queue.device.spec
-            waits = _resolve_waits(spec.get("waits"), queue.events)
+            waits = _resolve_waits(spec.get("waits"), recorded[q])
             event = None
             ns = None
             if kind == "write":
@@ -174,6 +175,7 @@ def _execute(program, out_of_order):
             elif kind == "api":
                 ctxs[q].charge_api_call()
             if event is not None:
+                recorded[q].append(event)
                 placements.append((event.sched_start_ns, event.sched_end_ns,
                                    event.e2e_start_ns, event.e2e_end_ns))
                 durations.append(ns)
