@@ -13,35 +13,31 @@ every wall nanosecond to transfer / compute / api / overlap / idle.
 
 from fractions import Fraction
 
+from repro import configure
 from repro.apps import lud
 from repro.harness import scaled_devices
 from repro.opencl import TIMELINE_SEGMENTS
 from repro.opencl.context import current_clock
 from repro.runtime import device_matrix
-from repro.runtime.oclenv import set_out_of_order_queues
 
 N = 24
 SCALE_ARGS = (0.08, 1.0, 2048 / N)
 
 
 def _run(out_of_order: bool):
-    try:
-        with scaled_devices(*SCALE_ARGS):
-            set_out_of_order_queues(out_of_order)
-            outcome = lud.run_actors(N, "GPU", movable=False)
-            (env,) = device_matrix().environments()
-            queue = env.queue
-            makespans = (
-                queue.makespan_ns,
-                queue.serial_makespan_ns,
-                queue.overlap_ns,
-            )
-            timeline = current_clock().timeline
-            e2e = dict(timeline.attribution(), elapsed_ns=timeline.elapsed_ns)
-            exact = timeline.attribution_exact()
-            exact_elapsed = Fraction(timeline.elapsed_ns)
-    finally:
-        set_out_of_order_queues(False)
+    with scaled_devices(*SCALE_ARGS), configure(out_of_order=out_of_order):
+        outcome = lud.run_actors(N, "GPU", movable=False)
+        (env,) = device_matrix().environments()
+        queue = env.queue
+        makespans = (
+            queue.makespan_ns,
+            queue.serial_makespan_ns,
+            queue.overlap_ns,
+        )
+        timeline = current_clock().timeline
+        e2e = dict(timeline.attribution(), elapsed_ns=timeline.elapsed_ns)
+        exact = timeline.attribution_exact()
+        exact_elapsed = Fraction(timeline.elapsed_ns)
     return outcome, makespans, e2e, exact, exact_elapsed
 
 

@@ -2,7 +2,7 @@
 """Priced ablation of the graph-level dispatch optimiser.
 
 Runs the Figure-4 LUD pipeline (flat-API form) and the docrank corpus
-twice — fusion off, then on (``dispatch.configure(fusion=True)``) —
+twice — fusion off, then on (``repro.configure(fusion=True)``) —
 entirely in simulated time, and gates the optimiser's contract:
 
 * **bit-identical outputs** — checksum and full buffer contents agree
@@ -33,11 +33,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import configure  # noqa: E402
 from repro import opencl as cl  # noqa: E402
 from repro.apps.docrank import runners as docrank  # noqa: E402
 from repro.apps.lud.runners import generate  # noqa: E402
 from repro.apps.lud.sources import KERNEL_SOURCE  # noqa: E402
-from repro.opencl import dispatch  # noqa: E402
 from repro.opencl.context import fresh_clock  # noqa: E402
 from repro.trace import tracing  # noqa: E402
 
@@ -92,23 +92,19 @@ def lud_api(n: int) -> dict:
 
 
 def measure(run, fused: bool) -> dict:
-    dispatch.configure(fusion=fused)
     cl.reset_platforms()
-    try:
-        with fresh_clock() as clock, tracing() as tracer:
-            out = run()
-            out["elapsed_ns"] = clock.timeline.elapsed_ns
-            out["counters"] = {
-                name: tracer.counter(name)
-                for name in (
-                    "dispatch.fuse",
-                    "dispatch.fuse.reject",
-                    "dispatch.xfer_elim",
-                )
-            }
-        return out
-    finally:
-        dispatch.configure(fusion=False)
+    with configure(fusion=fused), fresh_clock() as clock, tracing() as tracer:
+        out = run()
+        out["elapsed_ns"] = clock.timeline.elapsed_ns
+        out["counters"] = {
+            name: tracer.counter(name)
+            for name in (
+                "dispatch.fuse",
+                "dispatch.fuse.reject",
+                "dispatch.xfer_elim",
+            )
+        }
+    return out
 
 
 def bench_lud(n: int) -> dict:

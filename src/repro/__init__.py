@@ -21,3 +21,4 @@ Subpackages:
 __version__ = "1.0.0"
 
 from . import errors  # noqa: F401
+from .config import RuntimeConfig, configure, current_config  # noqa: F401

@@ -25,6 +25,7 @@ two instances of an actor class never share a channel end.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 import time
@@ -247,14 +248,16 @@ class Stage:
         return actor
 
     def start(self) -> None:
-        """Create one thread per actor and begin executing behaviours."""
+        """Create one thread per actor, each running its behaviours in a
+        copy of the caller's context (and so its ``current_config``)."""
         if self._started:
             raise RuntimeFault("stage already started")
         self._started = True
         for actor in self.actors:
+            # One copy per thread: two threads cannot enter one Context.
             thread = threading.Thread(
-                target=self._actor_main,
-                args=(actor,),
+                target=contextvars.copy_context().run,
+                args=(self._actor_main, actor),
                 name=f"{self.name}/{actor.name}",
                 daemon=True,
             )

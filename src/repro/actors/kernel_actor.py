@@ -160,8 +160,6 @@ class KernelActor(Actor):
         ``fault.ensemble.handoff`` host time on the actor's context,
         with backoff/retry exactly as the substrate gates.
         """
-        if faults.active_plan() is None:
-            return
         env = self.env
         faults.gate(
             "handoff",

@@ -26,9 +26,9 @@ device's spec, so the default matrix pairs the ``permanent`` and
 failover is exercised by the chaos test suites, which assert (a) and
 (c) but not the exact delta.
 
-With no plan installed every gate is a single ``None`` check, so the
-golden figures stay byte-identical — the golden-figure suite pins
-this.
+Each cell runs in a ``repro.configure`` block.  With no plan installed
+every gate is a single ``None`` check, so the golden figures stay
+byte-identical — the golden-figure suite pins this.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ..opencl import dispatch
+from ..config import configure
 from ..opencl.context import current_clock
 from ..opencl.faults import (
     DEVICE_LOST,
@@ -216,22 +216,18 @@ def run_target(
 ) -> ChaosRun:
     """Regenerate one chaos target under an optional fault plan.
 
-    Installs *plan* (reset first) and the fusion setting via
-    :func:`repro.opencl.dispatch.configure` for the duration of the
-    run, restoring the fault-free defaults after.
+    Runs under ``repro.configure(faults=plan, fusion=fusion)`` with
+    *plan* reset first; the caller's configuration is back afterwards.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown chaos target {target!r}")
     if plan is not None:
         plan.reset()
-    dispatch.configure(fusion=fusion, faults=plan)
-    try:
+    with configure(faults=plan, fusion=fusion):
         if target == "fig4":
             run = _run_fig4(fig4_n if fig4_n is not None else FIG4_N[sizes])
         else:
             run = _run_figure(target, sizes)
-    finally:
-        dispatch.configure(fusion=False, faults=None)
     run.injected = plan.injected if plan is not None else 0
     return run
 

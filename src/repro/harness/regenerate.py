@@ -19,6 +19,7 @@ import os
 from typing import Optional
 
 from ..apps import lud
+from ..config import configure
 from ..metrics import render_table1
 from ..runtime.oclenv import device_matrix
 from .figures import build_figure_by_id, scaled_devices
@@ -84,25 +85,19 @@ def regenerate_overlap_ablation(n: int = 16) -> str:
     / idle.
     """
     from ..opencl.context import current_clock
-    from ..runtime.oclenv import set_out_of_order_queues
 
-    try:
-        with scaled_devices(0.08, 1.0, 2048 / n):
-            set_out_of_order_queues(False)
-            base = lud.run_actors(n, "GPU", movable=False)
-            (env,) = device_matrix().environments()
-            in_order_makespan = env.queue.makespan_ns
-            in_order_elapsed = current_clock().timeline.elapsed_ns
-        with scaled_devices(0.08, 1.0, 2048 / n):
-            set_out_of_order_queues(True)
-            ooo = lud.run_actors(n, "GPU", movable=False)
-            (env,) = device_matrix().environments()
-            ooo_makespan = env.queue.makespan_ns
-            overlap = env.queue.overlap_ns
-            ooo_elapsed = current_clock().timeline.elapsed_ns
-            attribution = current_clock().timeline.attribution()
-    finally:
-        set_out_of_order_queues(False)
+    with scaled_devices(0.08, 1.0, 2048 / n), configure(out_of_order=False):
+        base = lud.run_actors(n, "GPU", movable=False)
+        (env,) = device_matrix().environments()
+        in_order_makespan = env.queue.makespan_ns
+        in_order_elapsed = current_clock().timeline.elapsed_ns
+    with scaled_devices(0.08, 1.0, 2048 / n), configure(out_of_order=True):
+        ooo = lud.run_actors(n, "GPU", movable=False)
+        (env,) = device_matrix().environments()
+        ooo_makespan = env.queue.makespan_ns
+        overlap = env.queue.overlap_ns
+        ooo_elapsed = current_clock().timeline.elapsed_ns
+        attribution = current_clock().timeline.attribution()
     assert ooo.result == base.result
     assert ooo.breakdown == base.breakdown
     saved = 1.0 - ooo_makespan / in_order_makespan

@@ -15,6 +15,7 @@ import threading
 import weakref
 from typing import Iterator, Optional, Sequence
 
+from ..config import current_config
 from ..errors import CLDeviceLost, CLInvalidValue
 from ..trace import current_tracer
 from . import faults
@@ -116,27 +117,26 @@ class Context:
         """Whether *device* is one of this context's devices."""
         return device in self.devices
 
-    def queue_for(self, device: Device, out_of_order: bool = False):
+    def queue_for(self, device: Device):
         """This context's command queue on *device*, created on demand.
 
         Returns the first live queue already bound to *device* (whatever
-        its mode); only when none exists is a new queue created with the
-        requested *out_of_order* mode.  Keeps the runtime's
-        one-queue-per-device policy intact for multi-device dispatch.
+        its mode); only when none exists is a new in-order queue
+        created.  Keeps the runtime's one-queue-per-device policy intact
+        for multi-device dispatch.
         """
         from .queue import CommandQueue
 
         for queue in self._queues:
             if queue.device is device and not queue.released:
                 return queue
-        return CommandQueue(self, device, out_of_order=out_of_order)
+        return CommandQueue(self, device)
 
     def enqueue_nd_range(
         self,
         kernel,
         global_size: Sequence[int],
         local_size: Optional[Sequence[int]] = None,
-        out_of_order: bool = False,
     ) -> list:
         """Dispatch one NDRange across *all* devices of this context.
 
@@ -165,7 +165,7 @@ class Context:
                 f"context {self.id}: every device was lost; cannot "
                 f"dispatch {kernel.name}"
             )
-        queues = [self.queue_for(d, out_of_order) for d in devices]
+        queues = [self.queue_for(d) for d in devices]
         if len(devices) == 1:
             return [
                 queues[0].enqueue_nd_range_kernel(
@@ -187,7 +187,7 @@ class Context:
         participating = [
             (queue, share) for queue, share in zip(queues, shares) if share
         ]
-        if len(participating) > 1 and faults.active_plan() is not None:
+        if len(participating) > 1 and current_config().faults is not None:
             participating = self._decide_split_faults(kernel, participating)
         if len(participating) == 1:
             return [
@@ -352,7 +352,7 @@ class Context:
         :class:`~repro.errors.CLDeviceLost` and marks nothing lost.
         """
         spec = (device or self.devices[0]).spec
-        if faults.active_plan() is not None:
+        if current_config().faults is not None:
             faults.gate(
                 "api", name, spec.api_call_ns, self.charge,
                 span_name=f"fault.{name}",

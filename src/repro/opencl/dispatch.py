@@ -64,12 +64,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..config import current_config
 from ..errors import CLInvalidValue, KirRuntimeError
 from .. import kir
 from ..kir import npcodegen as _npc
 from ..trace import current_tracer
 from . import faults as _faults
-from . import fusion as _fusion
 from .costmodel import DeviceSpec
 from .memory import Buffer
 
@@ -84,45 +84,9 @@ def use_legacy() -> bool:
     return False
 
 
-_UNSET = object()
-
-
-def configure(*, faults=_UNSET, retry=_UNSET, fusion=_UNSET) -> dict:
-    """Install or clear the runtime-wide fault plan and toggle the
-    graph-level dispatch optimiser.
-
-    ``faults`` installs a :class:`repro.opencl.faults.FaultPlan` (or
-    ``None`` to disable injection); ``retry`` installs a
-    :class:`repro.opencl.faults.RetryPolicy` (or ``None`` to restore
-    the default).  Omitting either leaves it unchanged.  See
-    docs/RELIABILITY.md for the full semantics.
-
-    ``fusion`` enables (True) or disables (False) the graph-level
-    optimiser — producer->consumer kernel fusion plus redundant
-    host->device transfer elimination (:mod:`repro.opencl.fusion`).
-    Off by default; with it off every golden figure is byte-identical
-    to the unoptimised substrate.  See "Graph-level optimisation" in
-    docs/ARCHITECTURE.md.  Returns the current settings as a dict.
-    """
-    if faults is not _UNSET:
-        if faults is not None and not isinstance(faults, _faults.FaultPlan):
-            raise CLInvalidValue(
-                f"faults must be a FaultPlan or None, got {type(faults).__name__}"
-            )
-        _faults.install(faults)
-    if retry is not _UNSET:
-        if retry is not None and not isinstance(retry, _faults.RetryPolicy):
-            raise CLInvalidValue(
-                f"retry must be a RetryPolicy or None, got {type(retry).__name__}"
-            )
-        _faults.set_retry_policy(retry or _faults.RetryPolicy())
-    if fusion is not _UNSET:
-        _fusion.set_enabled(bool(fusion))
-    return {
-        "faults": _faults.active_plan(),
-        "retry": _faults.retry_policy(),
-        "fusion": _fusion.enabled(),
-    }
+def configure() -> dict:
+    """:func:`repro.current_config` as a dict (the benchmark reads it)."""
+    return dict(vars(current_config()))
 
 
 def _scalar_args(raw_args: Sequence) -> list:
@@ -196,7 +160,7 @@ def _vec_item_ops(
     if nitems < VEC_MIN_ITEMS:
         _count_fallback("small-ndrange")
         return None
-    plan = _faults.active_plan()
+    plan = current_config().faults
     if plan is not None:
         fault = plan.decide("vec", runner.name)
         if fault is not None:

@@ -61,15 +61,14 @@ run are reproducible bit-for-bit under a fixed seed.  With no plan
 installed every gate is a single ``None`` check — golden figures are
 byte-identical.
 
-Install a plan via :func:`repro.opencl.dispatch.configure`::
+A plan carries its :class:`RetryPolicy` and is installed for a block
+with :func:`repro.configure`::
 
-    from repro.opencl import dispatch
-    from repro.opencl.faults import FaultPlan, FaultSpec, RetryPolicy
-
-    dispatch.configure(
-        faults=FaultPlan([FaultSpec("h2d", kind="transient", times=2)]),
+    with repro.configure(faults=FaultPlan(
+        [FaultSpec("h2d", kind="transient", times=2)],
         retry=RetryPolicy(max_attempts=3, backoff_ns=500.0),
-    )
+    )):
+        ...
 
 Observability: every injection counts ``fault.injected`` and
 ``fault.injected.<kind>`` on the active tracer, every retry counts
@@ -85,6 +84,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..config import current_config
 from ..errors import (
     CLBuildProgramFailure,
     CLDeviceLost,
@@ -210,7 +210,8 @@ class FaultPlan:
     ``(op, key)`` pair, advanced by every :meth:`decide` call (retries
     included).  :meth:`reset` rewinds the counters so the same plan
     object replays identically — two runs under one seed produce the
-    same injections, hence bit-identical priced totals.
+    same injections, hence bit-identical priced totals.  ``retry``
+    bounds how :func:`gate` retries the transient faults it decides.
     """
 
     def __init__(
@@ -220,7 +221,10 @@ class FaultPlan:
         rate: float = 0.0,
         kinds: Sequence[str] = (TRANSIENT,),
         ops: Sequence[str] = ("h2d", "d2h", "kernel", "api"),
+        retry: RetryPolicy = RetryPolicy(),
     ) -> None:
+        if not isinstance(retry, RetryPolicy):
+            raise CLInvalidValue(f"retry must be a RetryPolicy: {retry!r}")
         if not 0.0 <= rate <= 1.0:
             raise CLInvalidValue(f"fault rate must be in [0, 1], got {rate!r}")
         for kind in kinds:
@@ -234,6 +238,7 @@ class FaultPlan:
         self.rate = float(rate)
         self.kinds = tuple(kinds)
         self.ops = tuple(ops)
+        self.retry = retry
         self._lock = threading.Lock()
         self._counts: dict[tuple[str, str], int] = {}
         self._injected = 0
@@ -284,54 +289,6 @@ class FaultPlan:
             f"<FaultPlan specs={len(self.specs)} seed={self.seed} "
             f"rate={self.rate}>"
         )
-
-
-# -- installed plan / policy -------------------------------------------------
-
-_state_lock = threading.Lock()
-_plan: Optional[FaultPlan] = None
-_policy = RetryPolicy()
-
-
-def install(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install *plan* process-wide (``None`` disables injection).
-
-    Returns the previously installed plan so callers can restore it.
-    """
-    global _plan
-    with _state_lock:
-        previous = _plan
-        _plan = plan
-    return previous
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The installed fault plan, or ``None`` (the fault-free default)."""
-    return _plan
-
-
-def set_retry_policy(policy: RetryPolicy) -> RetryPolicy:
-    """Install the retry policy; returns the previous one."""
-    global _policy
-    if not isinstance(policy, RetryPolicy):
-        raise CLInvalidValue("retry policy must be a RetryPolicy")
-    with _state_lock:
-        previous = _policy
-        _policy = policy
-    return previous
-
-
-def retry_policy() -> RetryPolicy:
-    """The active bounded-retry policy."""
-    return _policy
-
-
-def clear() -> None:
-    """Remove the plan and restore the default retry policy (tests)."""
-    global _plan, _policy
-    with _state_lock:
-        _plan = None
-        _policy = RetryPolicy()
 
 
 # -- exception mapping / counters -------------------------------------------
@@ -425,15 +382,15 @@ def gate(
     span name is *span_name* (default ``fault.<op>``).  A
     ``device-lost`` fault marks *device* lost (when given) and raises
     :class:`~repro.errors.CLDeviceLost`; a transient one retries up to
-    the active :class:`RetryPolicy` bound, charging ``fault.backoff``
+    the plan's :class:`RetryPolicy` bound, charging ``fault.backoff``
     as ``"host"`` time on *charge*'s default track before each retry;
     anything else raises per :func:`exception_for`.  With no plan
     installed the gate is a single ``None`` check.
     """
-    plan = _plan
+    plan = current_config().faults
     if plan is None:
         return
-    policy = _policy
+    policy = plan.retry
     name = span_name or f"fault.{op}"
     attempt = 1
     while True:

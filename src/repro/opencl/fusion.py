@@ -1,12 +1,13 @@
 """Graph-level dispatch optimisation: producer->consumer kernel fusion.
 
-Opt-in via ``repro.opencl.dispatch.configure(fusion=True)`` (default
-off — with fusion disabled every priced figure is byte-identical to the
+Opt-in via ``with repro.configure(fusion=True)`` (default off — with
+fusion disabled every priced figure is byte-identical to the
 unoptimised substrate).  When enabled, each in-order queue holds the
 most recent kernel dispatch *pending* instead of executing it
 immediately; when the next kernel arrives on the same queue, this
 module decides whether the pair may legally execute as one composed
-kernel:
+kernel (leaving the block while a queue holds a pending kernel is safe:
+the next command on that queue flushes it as an ordinary launch):
 
 * **legality** — both kernels item-parallel (no barriers / ``__local``
   storage), the producer has no early ``return``, neither kernel binds
@@ -38,7 +39,7 @@ kernel:
 The second pass of the optimiser — redundant host->device transfer
 elimination — lives in the queue layer
 (:meth:`repro.opencl.queue.CommandQueue.enqueue_write_buffer`) gated on
-:func:`enabled` and the ``Buffer._h2d_clean`` residency marker; this
+the same setting and the ``Buffer._h2d_clean`` residency marker; this
 module only owns its counters (``dispatch.xfer_elim`` /
 ``dispatch.xfer_elim.bytes``).  See docs/ARCHITECTURE.md
 ("Graph-level optimisation") for the full legality and determinism
@@ -54,24 +55,6 @@ from .. import kcache, kir
 from ..kir import fuse as kfuse
 from ..trace import current_tracer
 from .memory import Buffer
-
-_enabled = False
-
-
-def set_enabled(flag: bool) -> None:
-    """Turn the graph-level optimiser on or off (process-wide).
-
-    Installed via ``dispatch.configure(fusion=...)``.  Toggling off
-    while a queue holds a pending kernel is safe: the next command on
-    that queue flushes it as an ordinary launch.
-    """
-    global _enabled
-    _enabled = bool(flag)
-
-
-def enabled() -> bool:
-    """Whether kernel fusion / transfer elimination is active."""
-    return _enabled
 
 
 # -- counters ---------------------------------------------------------------

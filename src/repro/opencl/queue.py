@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
+from ..config import current_config
 from ..errors import (
     CLDeviceLost,
     CLError,
@@ -148,7 +149,7 @@ class Event:
 class _PendingKernel:
     """A kernel dispatch held back by the graph-level optimiser.
 
-    With ``dispatch.configure(fusion=True)`` the queue keeps the most
+    Under ``repro.configure(fusion=True)`` the queue keeps the most
     recent kernel enqueue pending until it learns whether the *next*
     command fuses with it (:mod:`repro.opencl.fusion`).  The caller's
     :class:`Event` exists from enqueue time and is stamped with its real
@@ -557,7 +558,7 @@ class CommandQueue:
         (:func:`repro.opencl.faults.gate`): aborted attempts are charged
         in the op's own category on this device's track, and a
         ``device-lost`` fault marks this device lost."""
-        if faults.active_plan() is not None:
+        if current_config().faults is not None:
             faults.gate(
                 op,
                 key,
@@ -579,7 +580,7 @@ class CommandQueue:
         """Copy *host_data* into the device buffer (host -> device).
 
         With the graph-level optimiser on
-        (``dispatch.configure(fusion=True)``), a write whose target
+        (``repro.configure(fusion=True)``), a write whose target
         buffer already holds exactly *host_data* from an earlier clean
         transfer on this device — tracked by the buffer's residency
         marker and confirmed by content comparison — is elided: no DMA
@@ -596,7 +597,7 @@ class CommandQueue:
         ns = self.device.spec.transfer_ns(buf.nbytes, to_device=True)
         self._check_device_writable()
         if (
-            fusion.enabled()
+            current_config().fusion
             and buf._h2d_clean == (self.context.residency_epoch, self.device.id)
             and buf.contents_equal(host_data)
         ):
@@ -719,7 +720,7 @@ class CommandQueue:
         """Launch *kernel* over the NDRange and price the dispatch.
 
         With the graph-level optimiser enabled
-        (``dispatch.configure(fusion=True)``) the dispatch may be held
+        (``repro.configure(fusion=True)``) the dispatch may be held
         pending and later executed fused with the next kernel on this
         queue — see :mod:`repro.opencl.fusion` and :meth:`_flush_pending`.
         With fusion off (the default) the path below is untouched, so
@@ -727,7 +728,7 @@ class CommandQueue:
         """
         gsz, lsz = self.check_nd_range(global_size, local_size)
         self._check_device_writable()
-        if fusion.enabled():
+        if current_config().fusion:
             return self._fusion_dispatch(kernel, gsz, lsz, wait_for)
         self._flush_if_pending("disabled")
         self._fault_gate(

@@ -7,6 +7,11 @@ observed read races with more).  An OpenCL actor's declaration
 (``<device_index=0, device_type=CPU>``) indexes into this matrix; the
 resulting :class:`OpenCLEnvironment` carries the device, context and
 command queue the actor's dispatches use (Section 6.2.2).
+
+The matrix stays process-wide, whatever configuration a thread runs
+under.  A lookup gives the device's queue the mode of
+``repro.current_config().out_of_order``, replacing a queue of the other
+mode on the same context (buffers, programs and ledger carry over).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
+from ..config import current_config
 from ..errors import CLInvalidDevice, RuntimeFault
 from ..opencl import (
     CommandQueue,
@@ -26,19 +32,6 @@ from ..opencl import (
 )
 
 DEFAULT_DEVICE_TYPE = "GPU"
-
-#: When set, newly created per-device runtime queues are out-of-order
-#: (the hazard-tracking scheduler in :mod:`repro.opencl.queue`).  Ledger
-#: totals and buffer contents are unaffected; only the queues' schedule
-#: timelines (``makespan_ns`` / ``overlap_ns``) change.  Toggle it
-#: *before* environments are created (or reset the matrix after).
-_out_of_order = False
-
-
-def set_out_of_order_queues(flag: bool) -> None:
-    """Make queues created by the device matrix out-of-order."""
-    global _out_of_order
-    _out_of_order = bool(flag)
 
 
 @dataclass
@@ -112,15 +105,19 @@ class DeviceMatrix:
         """Find or create *device*'s environment (``self._lock`` held)."""
         key = (platform_index, device.id)
         env = self._envs.get(key)
+        out_of_order = current_config().out_of_order
         if env is None:
             context = Context([device], platform)
-            queue = CommandQueue(
-                context, device, out_of_order=_out_of_order
-            )
+            queue = CommandQueue(context, device, out_of_order=out_of_order)
             env = OpenCLEnvironment(
                 platform_index, device_index, device, context, queue
             )
             self._envs[key] = env
+        elif env.queue.out_of_order != out_of_order:
+            env.queue.release()
+            env.queue = CommandQueue(
+                env.context, device, out_of_order=out_of_order
+            )
         return env
 
     def failover_environment(self, failed: Device) -> OpenCLEnvironment:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
+from ..config import current_config
 from ..errors import RuntimeFault
-from ..opencl import fusion
 from ..opencl.memory import Buffer
 from ..opencl.queue import CommandQueue
 from ..trace import current_tracer
@@ -219,7 +219,7 @@ class ManagedArray:
             self._sync_host_from_device()
         if release_device:
             if (
-                fusion.enabled()
+                current_config().fusion
                 and self._buffer is not None
                 and not self._buffer.released
                 and self._queue is not None

@@ -18,6 +18,7 @@ import random
 import threading
 from typing import Any, Optional
 
+from ..config import current_config
 from ..errors import ChannelClosed, CLDeviceLost, RuntimeFault, VMError
 from ..ensemble.bytecode import (
     Code,
@@ -379,7 +380,7 @@ class EnsembleVM:
                     value = stack.pop()
                     if not isinstance(chan, OutPort):
                         raise VMError("send on a non-out channel value")
-                    if faults.active_plan() is not None:
+                    if current_config().faults is not None:
                         key = self._handoff_key(chan)
                         if key is not None:
                             self._fault_gate(
@@ -489,12 +490,9 @@ class EnsembleVM:
     def _native(
         self, name: str, args: list, actor: Optional[VMActor] = None
     ) -> Any:
-        if faults.active_plan() is not None:
-            # `invokenative` host calls are a fault site: one aborted
-            # interpreter issue (BYTECODE_NS) per failed attempt.
-            self._fault_gate(
-                "native", name, BYTECODE_NS, "fault.vm.native", actor
-            )
+        # `invokenative` host calls are a fault site: one aborted
+        # interpreter issue (BYTECODE_NS) per failed attempt.
+        self._fault_gate("native", name, BYTECODE_NS, "fault.vm.native", actor)
         if name == "printString":
             return self._print(args[0])
         if name == "printInt":
@@ -648,17 +646,16 @@ class EnsembleVM:
             env = get_environment(
                 plan.device_type, plan.device_index, plan.platform_index
             )
-        if faults.active_plan() is not None:
-            # The VM dispatch wrapper itself is a fault site: one
-            # aborted wrapper call (api_call_ns) per failed attempt.
-            self._fault_gate(
-                "vm",
-                plan.kernel_name,
-                env.device.spec.api_call_ns,
-                "fault.vm.dispatch",
-                actor,
-                device=env.device,
-            )
+        # The VM dispatch wrapper itself is a fault site: one aborted
+        # wrapper call (api_call_ns) per failed attempt.
+        self._fault_gate(
+            "vm",
+            plan.kernel_name,
+            env.device.spec.api_call_ns,
+            "fault.vm.dispatch",
+            actor,
+            device=env.device,
+        )
         if actor._program_cache is None:
             # Each actor acquires once; actors sharing identical kernel
             # source get the context's program, paying the full compile

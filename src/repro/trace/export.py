@@ -92,7 +92,11 @@ def chrome_trace_events(tracer: Union[Tracer, NullTracer]) -> list[dict]:
 
 
 def chrome_trace(tracer: Union[Tracer, NullTracer]) -> dict:
-    """The full JSON-object form (Perfetto accepts both forms)."""
+    """The full JSON-object form (Perfetto accepts both forms);
+    ``otherData["config"]`` is the configuration the tracer was created
+    under, with the fault plan as its ``repr``."""
+    config = tracer.config
+    plan = None if config.faults is None else repr(config.faults)
     return {
         "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
@@ -100,6 +104,7 @@ def chrome_trace(tracer: Union[Tracer, NullTracer]) -> dict:
             "generator": "repro.trace",
             "summary_ns": tracer.summary(),
             "counters": tracer.counters(),
+            "config": dict(vars(config), faults=plan),
         },
     }
 

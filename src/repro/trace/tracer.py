@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from ..config import RuntimeConfig, current_config
+
 #: The ledger cost categories, in Figure 3 segment order.
 COST_CATEGORIES = ("h2d", "d2h", "kernel", "host")
 
@@ -160,6 +162,8 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock_fn: Optional[Callable[[], float]] = None) -> None:
+        #: the runtime configuration the traced run was set up under
+        self.config = current_config()
         self._clock_fn = clock_fn
         self._lock = threading.Lock()
         self.spans: list[Span] = []
@@ -346,6 +350,7 @@ class NullTracer:
     """The zero-overhead default: every operation is a no-op."""
 
     enabled = False
+    config = RuntimeConfig()
     spans: list = []
     counter_samples: list = []
 

@@ -10,6 +10,7 @@ notice ordering, the dead-letter capture, and the counter vocabulary.
 
 import pytest
 
+from repro import configure
 from repro import opencl as cl
 from repro.actors import (
     DeadLetter,
@@ -22,7 +23,6 @@ from repro.actors import (
     connect,
 )
 from repro.errors import ChannelClosed, ChannelError, CLOutOfHostMemory
-from repro.opencl import dispatch, faults
 from repro.opencl.faults import PERMANENT, FaultPlan, FaultSpec
 from repro.runtime import reset_device_matrix
 from repro.trace import tracing
@@ -41,12 +41,9 @@ N = 4
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
     yield
-    dispatch.configure(fusion=False, faults=None)
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
 
@@ -67,112 +64,112 @@ def payload():
 
 def test_double_handoff_kill_exhausts_the_restart_budget():
     # Fire the hand-off gate on the actor's first two result forwards.
-    dispatch.configure(
+    with configure(
         faults=FaultPlan(
             [FaultSpec("handoff", PERMANENT, key="square.output", times=2)]
         )
-    )
-    notices = []
-    stage = Stage("chaos", supervisor=notices.append)
-    worker = stage.spawn(
-        KernelActor(SQUARE, "square"),
-        policy=RestartPolicy(max_restarts=1, backoff_s=0.0),
-    )
-    reqs = OutPort(name="host.reqs")
-    connect(reqs, worker.requests)
+    ):
+        notices = []
+        stage = Stage("chaos", supervisor=notices.append)
+        worker = stage.spawn(
+            KernelActor(SQUARE, "square"),
+            policy=RestartPolicy(max_restarts=1, backoff_s=0.0),
+        )
+        reqs = OutPort(name="host.reqs")
+        connect(reqs, worker.requests)
 
-    with tracing() as tracer:
-        stage.start()
-        # First kill: the dispatch succeeds, the hand-off crashes the
-        # actor, supervision restarts it in place.
-        req1, dout1, din1 = make_request()
-        reqs.send(req1, timeout=5.0)
-        dout1.send(payload(), timeout=5.0)
-        with pytest.raises(ChannelClosed):
-            din1.receive(timeout=5.0)
-        # Second kill: the restarted actor crashes again and the
-        # restart budget (1) is exhausted -> fatal, ports finalized.
-        req2, dout2, din2 = make_request()
-        reqs.send(req2, timeout=5.0)
-        dout2.send(payload(), timeout=5.0)
-        with pytest.raises(ChannelClosed):
-            din2.receive(timeout=5.0)
-        stage.join(10.0)  # fatal notice delivered: join stays clean
+        with tracing() as tracer:
+            stage.start()
+            # First kill: the dispatch succeeds, the hand-off crashes the
+            # actor, supervision restarts it in place.
+            req1, dout1, din1 = make_request()
+            reqs.send(req1, timeout=5.0)
+            dout1.send(payload(), timeout=5.0)
+            with pytest.raises(ChannelClosed):
+                din1.receive(timeout=5.0)
+            # Second kill: the restarted actor crashes again and the
+            # restart budget (1) is exhausted -> fatal, ports finalized.
+            req2, dout2, din2 = make_request()
+            reqs.send(req2, timeout=5.0)
+            dout2.send(payload(), timeout=5.0)
+            with pytest.raises(ChannelClosed):
+                din2.receive(timeout=5.0)
+            stage.join(10.0)  # fatal notice delivered: join stays clean
 
-        # Supervisor-notice ordering: one non-fatal restart notice,
-        # then the fatal budget-exhaustion notice, both carrying the
-        # injected error.
-        kinds = [(n.fatal, n.restarts) for n in notices]
-        assert kinds == [(False, 1), (True, 1)]
-        assert kinds == [
-            (f.fatal, f.restarts) for f in stage.supervised_failures
-        ]
-        for notice in notices:
-            assert notice.actor_name == worker.name
-            assert isinstance(notice.error, CLOutOfHostMemory)
-            assert notice.error.fault is not None
+            # Supervisor-notice ordering: one non-fatal restart notice,
+            # then the fatal budget-exhaustion notice, both carrying the
+            # injected error.
+            kinds = [(n.fatal, n.restarts) for n in notices]
+            assert kinds == [(False, 1), (True, 1)]
+            assert kinds == [
+                (f.fatal, f.restarts) for f in stage.supervised_failures
+            ]
+            for notice in notices:
+                assert notice.actor_name == worker.name
+                assert isinstance(notice.error, CLOutOfHostMemory)
+                assert notice.error.fault is not None
 
-        # A third request hits the finalized actor's closed port: the
-        # send fails loudly and the message is dead-lettered.
-        req3, _, _ = make_request()
-        with pytest.raises(ChannelError, match="closed"):
-            reqs.send(req3, timeout=1.0)
+            # A third request hits the finalized actor's closed port: the
+            # send fails loudly and the message is dead-lettered.
+            req3, _, _ = make_request()
+            with pytest.raises(ChannelError, match="closed"):
+                reqs.send(req3, timeout=1.0)
 
-    assert len(stage.dead_letters) == 1
-    letter = stage.dead_letters[0]
-    assert isinstance(letter, DeadLetter)
-    assert letter.item is req3
-    assert letter.reason == "closed"
+        assert len(stage.dead_letters) == 1
+        letter = stage.dead_letters[0]
+        assert isinstance(letter, DeadLetter)
+        assert letter.item is req3
+        assert letter.reason == "closed"
 
-    counters = tracer.counters()
-    assert counters["fault.injected"] == 2
-    assert counters["actor.failure"] == 2
-    assert counters["actor.restart"] == 1
-    assert counters["actor.dead_letter"] == 1
-    assert "fault.failover" not in counters  # crashes, not device loss
+        counters = tracer.counters()
+        assert counters["fault.injected"] == 2
+        assert counters["actor.failure"] == 2
+        assert counters["actor.restart"] == 1
+        assert counters["actor.dead_letter"] == 1
+        assert "fault.failover" not in counters  # crashes, not device loss
 
 
 def test_budget_of_two_survives_a_double_kill():
     """With one more restart in the budget the same double-kill plan is
     absorbed: the third attempt succeeds and delivers the result."""
-    dispatch.configure(
+    with configure(
         faults=FaultPlan(
             [FaultSpec("handoff", PERMANENT, key="square.output", times=2)]
         )
-    )
-    notices = []
-    stage = Stage("chaos", supervisor=notices.append)
-    stage.spawn(
-        KernelActor(SQUARE, "square"),
-        policy=RestartPolicy(max_restarts=2, backoff_s=0.0),
-    )
-    worker = stage.actors[0]
-    reqs = OutPort(name="host.reqs")
-    connect(reqs, worker.requests)
+    ):
+        notices = []
+        stage = Stage("chaos", supervisor=notices.append)
+        stage.spawn(
+            KernelActor(SQUARE, "square"),
+            policy=RestartPolicy(max_restarts=2, backoff_s=0.0),
+        )
+        worker = stage.actors[0]
+        reqs = OutPort(name="host.reqs")
+        connect(reqs, worker.requests)
 
-    with tracing() as tracer:
-        stage.start()
-        result = None
-        for _ in range(3):
-            req, dout, din = make_request()
-            reqs.send(req, timeout=5.0)
-            dout.send(payload(), timeout=5.0)
-            try:
-                result = din.receive(timeout=5.0)
-            except ChannelClosed:
-                continue
-        assert result is not None
-        # The payload's arrays were promoted to managed arrays by the
-        # actor; compare the host copies.
-        assert list(result["out"].host()) == [i * i for i in range(N)]
-        stage.stop_all()
-        stage.join(10.0)
+        with tracing() as tracer:
+            stage.start()
+            result = None
+            for _ in range(3):
+                req, dout, din = make_request()
+                reqs.send(req, timeout=5.0)
+                dout.send(payload(), timeout=5.0)
+                try:
+                    result = din.receive(timeout=5.0)
+                except ChannelClosed:
+                    continue
+            assert result is not None
+            # The payload's arrays were promoted to managed arrays by the
+            # actor; compare the host copies.
+            assert list(result["out"].host()) == [i * i for i in range(N)]
+            stage.stop_all()
+            stage.join(10.0)
 
-    assert [(n.fatal, n.restarts) for n in notices] == [
-        (False, 1),
-        (False, 2),
-    ]
-    counters = tracer.counters()
-    assert counters["fault.injected"] == 2
-    assert counters["actor.restart"] == 2
-    assert stage.dead_letters == []
+        assert [(n.fatal, n.restarts) for n in notices] == [
+            (False, 1),
+            (False, 2),
+        ]
+        counters = tracer.counters()
+        assert counters["fault.injected"] == 2
+        assert counters["actor.restart"] == 2
+        assert stage.dead_letters == []

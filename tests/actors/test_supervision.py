@@ -9,6 +9,7 @@ surviving a mid-pipeline kernel-actor device loss with correct output.
 
 import pytest
 
+from repro import configure
 from repro import opencl as cl
 from repro.actors import (
     Actor,
@@ -23,7 +24,6 @@ from repro.actors import (
 )
 from repro.apps.lud import runners as lud
 from repro.errors import ActorError, ChannelError
-from repro.opencl import dispatch, faults
 from repro.opencl.faults import DEVICE_LOST, FaultPlan, FaultSpec
 from repro.runtime import reset_device_matrix
 from repro.trace import tracing
@@ -40,11 +40,9 @@ __kernel void square(__global int *a, __global int *out, int n) {
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
     yield
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
 
@@ -233,16 +231,16 @@ class TestKernelActorFailover:
 
         reset_device_matrix()
         cl.reset_platforms()
-        dispatch.configure(faults=FaultPlan([
+        with configure(faults=FaultPlan([
             FaultSpec("kernel", kind=DEVICE_LOST, key="square@*R9*")
-        ]))
-        with tracing() as tracer:
-            got = run_kernel(SQUARE, "square", dict(data), worksize=[n])
-        assert got["out"].tolist() == clean_out
-        counters = tracer.counters()
-        assert counters["fault.failover"] == 1
-        assert counters["actor.failover"] == 1
-        assert counters["fault.injected.device-lost"] == 1
+        ])):
+            with tracing() as tracer:
+                got = run_kernel(SQUARE, "square", dict(data), worksize=[n])
+            assert got["out"].tolist() == clean_out
+            counters = tracer.counters()
+            assert counters["fault.failover"] == 1
+            assert counters["actor.failover"] == 1
+            assert counters["fault.injected.device-lost"] == 1
 
 
 class TestFigure4PipelineSurvival:
@@ -250,38 +248,36 @@ class TestFigure4PipelineSurvival:
         n = 16
         clean = lud.run_actors(n)
 
-        faults.clear()
         cl.reset_platforms()
         reset_device_matrix()
         # Kill the GPU on the 6th dispatch of the *middle* kernel actor
         # (lud_scale) — pivot and update lose their device too and all
         # three fail over; the factorisation must still be correct.
-        dispatch.configure(faults=FaultPlan([
+        with configure(faults=FaultPlan([
             FaultSpec("kernel", kind=DEVICE_LOST,
                       key="lud_scale@*R9*", index=5)
-        ]))
-        with tracing() as tracer:
-            faulted = lud.run_actors(n)
-        assert faulted.result == pytest.approx(clean.result)
-        assert faulted.meta["m"] == pytest.approx(clean.meta["m"])
-        counters = tracer.counters()
-        assert counters["fault.injected.device-lost"] == 1
-        assert counters["actor.failover"] >= 3  # all three actors moved
+        ])):
+            with tracing() as tracer:
+                faulted = lud.run_actors(n)
+            assert faulted.result == pytest.approx(clean.result)
+            assert faulted.meta["m"] == pytest.approx(clean.meta["m"])
+            counters = tracer.counters()
+            assert counters["fault.injected.device-lost"] == 1
+            assert counters["actor.failover"] >= 3  # all three actors moved
 
     def test_lud_pipeline_recovers_transient_kernel_faults_in_place(self):
         n = 16
         clean = lud.run_actors(n)
 
-        faults.clear()
         cl.reset_platforms()
         reset_device_matrix()
-        dispatch.configure(faults=FaultPlan([
+        with configure(faults=FaultPlan([
             FaultSpec("kernel", kind="transient", key="lud_update@*",
                       index=3, times=2)
-        ]))
-        with tracing() as tracer:
-            faulted = lud.run_actors(n)
-        assert faulted.result == pytest.approx(clean.result)
-        counters = tracer.counters()
-        assert counters["fault.retry"] == 2
-        assert "fault.failover" not in counters  # recovered in place
+        ])):
+            with tracing() as tracer:
+                faulted = lud.run_actors(n)
+            assert faulted.result == pytest.approx(clean.result)
+            counters = tracer.counters()
+            assert counters["fault.retry"] == 2
+            assert "fault.failover" not in counters  # recovered in place

@@ -14,11 +14,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro import configure  # noqa: E402
 from repro import opencl as cl  # noqa: E402
 from repro.apps.lud import runners as lud  # noqa: E402
 from repro.errors import CLError  # noqa: E402
 from repro.harness.chaos import priced_totals  # noqa: E402
-from repro.opencl import dispatch, faults  # noqa: E402
 from repro.opencl.context import current_clock  # noqa: E402
 from repro.opencl.faults import (  # noqa: E402
     DEVICE_LOST,
@@ -57,18 +57,13 @@ recoverable_spec_st = st.builds(
 
 def run_once(plan=None):
     """One fresh flat-API LUD run; exact priced totals via the tracer."""
-    faults.clear()
     cl.reset_platforms()
     if plan is not None:
         plan.reset()
-        dispatch.configure(faults=plan)
     tracer = Tracer()
     current_clock().timeline.reset()
-    try:
-        with tracing(tracer):
-            out = lud.run_api(N, "GPU")
-    finally:
-        dispatch.configure(faults=None)
+    with configure(faults=plan), tracing(tracer):
+        out = lud.run_api(N, "GPU")
     priced, fault_part = priced_totals((tracer,))
     return tuple(out.meta["m"]), out.result, priced, fault_part
 

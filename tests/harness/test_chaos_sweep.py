@@ -12,6 +12,7 @@ path that sits outside the exact-delta matrix.
 
 import pytest
 
+from repro import configure
 from repro import opencl as cl
 from repro.apps.lud import runners as lud
 from repro.harness.chaos import (
@@ -22,7 +23,6 @@ from repro.harness.chaos import (
     run_target,
 )
 from repro.harness.figures import scaled_devices
-from repro.opencl import dispatch, faults
 from repro.opencl.faults import (
     DEVICE_LOST,
     PERMANENT,
@@ -38,12 +38,9 @@ pytestmark = pytest.mark.chaos
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
     yield
-    dispatch.configure(fusion=False, faults=None)
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
 
@@ -110,13 +107,10 @@ class TestDeviceLostFailover:
         reset_device_matrix()
         if plan is not None:
             plan.reset()
-        dispatch.configure(faults=plan)
-        try:
+        with configure(faults=plan):
             with scaled_devices(0.08, 2048 / self.N):
                 with tracing() as tracer:
                     outcome = lud.run_actors(self.N, "GPU", movable=True)
-        finally:
-            dispatch.configure(faults=None)
         return outcome, tracer.counters()
 
     def test_mid_pipeline_device_loss_keeps_buffers_identical(self):

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import configure
 from repro.apps import lud, matmul
 from repro.harness import scaled_devices
 from repro.harness.figures import build_figure_by_id
@@ -82,25 +83,23 @@ def test_overlap_e2e_ablation_unchanged(golden: dict) -> None:
     pins down that composed-timeline placement is schedule-determined,
     not thread-timing-determined."""
     from repro.opencl.context import current_clock
-    from repro.runtime.oclenv import set_out_of_order_queues
 
     want = golden["ablations"]["overlap_e2e"]
     n = want["n"]
-    try:
-        for key, out_of_order in (("in_order", False),
-                                  ("out_of_order", True)):
-            with scaled_devices(0.08, 1.0, 2048 / n):
-                set_out_of_order_queues(out_of_order)
-                lud.run_actors(n, "GPU", movable=False)
-                (env,) = device_matrix().environments()
-                timeline = current_clock().timeline
-                expected = want[key]
-                assert env.queue.makespan_ns == expected["makespan_ns"]
-                assert env.queue.overlap_ns == expected["overlap_ns"]
-                assert timeline.elapsed_ns == expected["elapsed_ns"]
-                assert timeline.attribution() == expected["attribution"]
-    finally:
-        set_out_of_order_queues(False)
+    for key, out_of_order in (("in_order", False),
+                              ("out_of_order", True)):
+        with (
+            scaled_devices(0.08, 1.0, 2048 / n),
+            configure(out_of_order=out_of_order),
+        ):
+            lud.run_actors(n, "GPU", movable=False)
+            (env,) = device_matrix().environments()
+            timeline = current_clock().timeline
+            expected = want[key]
+            assert env.queue.makespan_ns == expected["makespan_ns"]
+            assert env.queue.overlap_ns == expected["overlap_ns"]
+            assert timeline.elapsed_ns == expected["elapsed_ns"]
+            assert timeline.attribution() == expected["attribution"]
 
 
 def test_vm_cost_ablation_unchanged(golden: dict) -> None:

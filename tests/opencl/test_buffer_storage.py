@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import configure
 from repro import kir
 from repro.errors import KirRuntimeError
 from repro.kir import ir
@@ -47,10 +48,8 @@ N = 512  # large enough for the vectorised tier
 
 @pytest.fixture(autouse=True)
 def _clean():
-    dispatch.configure(fusion=False)
     reset_platforms()
     yield
-    dispatch.configure(fusion=False)
     reset_platforms()
 
 
@@ -110,12 +109,12 @@ class TestDataSnapshot:
 
     def test_data_flushes_a_pending_fused_kernel(self):
         queue, kernel, src, out = _square_setup()
-        dispatch.configure(fusion=True)
-        queue.enqueue_write_buffer(src, [3.0] * N)
-        with tracing() as tr:
-            queue.enqueue_nd_range_kernel(kernel, [N])
-            assert out.data == [9.0] * N
-        assert tr.counter("dispatch.fuse.reject.host-observe") == 1
+        with configure(fusion=True):
+            queue.enqueue_write_buffer(src, [3.0] * N)
+            with tracing() as tr:
+                queue.enqueue_nd_range_kernel(kernel, [N])
+                assert out.data == [9.0] * N
+            assert tr.counter("dispatch.fuse.reject.host-observe") == 1
 
 
 class TestReleaseFlushesFusion:
@@ -124,23 +123,23 @@ class TestReleaseFlushesFusion:
 
     def test_releasing_an_input_keeps_the_output(self):
         queue, kernel, src, out = _square_setup()
-        dispatch.configure(fusion=True)
-        queue.enqueue_write_buffer(src, [3.0] * N)
-        queue.enqueue_nd_range_kernel(kernel, [N])
-        src.release()
-        host = [0.0] * N
-        queue.enqueue_read_buffer(out, host)
-        assert host == [9.0] * N
+        with configure(fusion=True):
+            queue.enqueue_write_buffer(src, [3.0] * N)
+            queue.enqueue_nd_range_kernel(kernel, [N])
+            src.release()
+            host = [0.0] * N
+            queue.enqueue_read_buffer(out, host)
+            assert host == [9.0] * N
 
     def test_releasing_the_context_dispatches_the_kernel(self):
         queue, kernel, src, out = _square_setup()
-        dispatch.configure(fusion=True)
-        queue.enqueue_write_buffer(src, [3.0] * N)
-        queue.enqueue_nd_range_kernel(kernel, [N])
-        context = queue.context
-        context.release()
-        queue.finish()
-        assert context.ledger.kernel_launches == 1
+        with configure(fusion=True):
+            queue.enqueue_write_buffer(src, [3.0] * N)
+            queue.enqueue_nd_range_kernel(kernel, [N])
+            context = queue.context
+            context.release()
+            queue.finish()
+            assert context.ledger.kernel_launches == 1
 
 
 class TestAccessSetsComputedOnce:

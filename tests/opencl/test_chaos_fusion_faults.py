@@ -15,9 +15,9 @@ optimiser:
 
 import pytest
 
+from repro import configure
 from repro import opencl as cl
 from repro.errors import CLDeviceLost, CLOutOfResources
-from repro.opencl import dispatch, faults
 from repro.opencl.faults import (
     DEVICE_LOST,
     PERMANENT,
@@ -52,11 +52,8 @@ __kernel void poke(__global float *scratch) {
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     yield
-    dispatch.configure(fusion=False, faults=None)
-    faults.clear()
     cl.reset_platforms()
 
 
@@ -88,84 +85,84 @@ class TestPendingSlotFaults:
 
     def test_permanent_fault_flushes_pending_without_double_charge(self):
         n = 16
-        dispatch.configure(
+        with configure(
             fusion=True,
             faults=FaultPlan([FaultSpec("kernel", PERMANENT, key="add1@*")]),
-        )
-        _, context, queue = gpu_context()
-        k_a, k_b, buf_b, _ = chain_setup(context, queue, n)
-        with tracing() as tr:
-            event_a = queue.enqueue_nd_range_kernel(k_a, [n])
-            assert context.ledger.kernel_launches == 0  # deferred
-            with pytest.raises(CLOutOfResources) as exc:
-                queue.enqueue_nd_range_kernel(k_b, [n])
-            assert exc.value.fault is not None
-        # The pending producer flushed as an ordinary launch: its event
-        # is stamped and priced exactly once.
-        assert context.ledger.kernel_launches == 1
-        assert event_a.duration_ns > 0
-        # Counter conservation: one injection, no fusion, one
-        # fault-triggered flush, a single fault.kernel charge.
-        assert tr.counter("fault.injected") == 1
-        assert tr.counter("dispatch.fuse") == 0
-        assert tr.counter("dispatch.fuse.reject.fault") == 1
-        assert len([s for s in tr.spans if s.name == "fault.kernel"]) == 1
-        # Nothing left pending; the producer is not re-launched and its
-        # output is intact.
-        queue.finish()
-        assert context.ledger.kernel_launches == 1
-        out_b = [0.0] * n
-        queue.enqueue_read_buffer(buf_b, out_b)
-        assert out_b == [float(i) * 2.0 for i in range(n)]
+        ):
+            _, context, queue = gpu_context()
+            k_a, k_b, buf_b, _ = chain_setup(context, queue, n)
+            with tracing() as tr:
+                event_a = queue.enqueue_nd_range_kernel(k_a, [n])
+                assert context.ledger.kernel_launches == 0  # deferred
+                with pytest.raises(CLOutOfResources) as exc:
+                    queue.enqueue_nd_range_kernel(k_b, [n])
+                assert exc.value.fault is not None
+            # The pending producer flushed as an ordinary launch: its event
+            # is stamped and priced exactly once.
+            assert context.ledger.kernel_launches == 1
+            assert event_a.duration_ns > 0
+            # Counter conservation: one injection, no fusion, one
+            # fault-triggered flush, a single fault.kernel charge.
+            assert tr.counter("fault.injected") == 1
+            assert tr.counter("dispatch.fuse") == 0
+            assert tr.counter("dispatch.fuse.reject.fault") == 1
+            assert len([s for s in tr.spans if s.name == "fault.kernel"]) == 1
+            # Nothing left pending; the producer is not re-launched and its
+            # output is intact.
+            queue.finish()
+            assert context.ledger.kernel_launches == 1
+            out_b = [0.0] * n
+            queue.enqueue_read_buffer(buf_b, out_b)
+            assert out_b == [float(i) * 2.0 for i in range(n)]
 
     def test_transient_fault_retries_then_fuses_once(self):
         n = 16
-        dispatch.configure(
+        with configure(
             fusion=True,
             faults=FaultPlan([FaultSpec("kernel", TRANSIENT, key="add1@*")]),
-        )
-        _, context, queue = gpu_context()
-        k_a, k_b, _, buf_c = chain_setup(context, queue, n)
-        with tracing() as tr:
-            event_a = queue.enqueue_nd_range_kernel(k_a, [n])
-            event_b = queue.enqueue_nd_range_kernel(k_b, [n])
-            queue.finish()
-        # The retry recovered in place and the pair still fused: the
-        # two enqueues account to exactly one launch + one fusion.
-        assert tr.counter("dispatch.fuse") == 1
-        assert context.ledger.kernel_launches == 1
-        assert event_a.duration_ns > 0
-        assert event_b.duration_ns > 0
-        # One injection, one retry, one backoff span, one aborted
-        # attempt — charged exactly once.
-        assert tr.counter("fault.injected") == 1
-        assert tr.counter("fault.retry") == 1
-        assert len([s for s in tr.spans if s.name == "fault.kernel"]) == 1
-        assert len([s for s in tr.spans if s.name == "fault.backoff"]) == 1
-        out_c = [0.0] * n
-        queue.enqueue_read_buffer(buf_c, out_c)
-        assert out_c == [float(i) * 2.0 + 1.0 for i in range(n)]
+        ):
+            _, context, queue = gpu_context()
+            k_a, k_b, _, buf_c = chain_setup(context, queue, n)
+            with tracing() as tr:
+                event_a = queue.enqueue_nd_range_kernel(k_a, [n])
+                event_b = queue.enqueue_nd_range_kernel(k_b, [n])
+                queue.finish()
+            # The retry recovered in place and the pair still fused: the
+            # two enqueues account to exactly one launch + one fusion.
+            assert tr.counter("dispatch.fuse") == 1
+            assert context.ledger.kernel_launches == 1
+            assert event_a.duration_ns > 0
+            assert event_b.duration_ns > 0
+            # One injection, one retry, one backoff span, one aborted
+            # attempt — charged exactly once.
+            assert tr.counter("fault.injected") == 1
+            assert tr.counter("fault.retry") == 1
+            assert len([s for s in tr.spans if s.name == "fault.kernel"]) == 1
+            assert len([s for s in tr.spans if s.name == "fault.backoff"]) == 1
+            out_c = [0.0] * n
+            queue.enqueue_read_buffer(buf_c, out_c)
+            assert out_c == [float(i) * 2.0 + 1.0 for i in range(n)]
 
     def test_device_lost_still_flushes_pending_first(self):
         n = 16
         device, context, queue = gpu_context()
         k_a, k_b, buf_b, _ = chain_setup(context, queue, n)
-        dispatch.configure(
+        with configure(
             fusion=True,
             faults=FaultPlan(
                 [FaultSpec("kernel", DEVICE_LOST, key="add1@*")]
             ),
-        )
-        with tracing() as tr:
-            queue.enqueue_nd_range_kernel(k_a, [n])
-            with pytest.raises(CLDeviceLost):
-                queue.enqueue_nd_range_kernel(k_b, [n])
-        assert device.lost
-        # The producer executed before the loss surfaced, so buffer
-        # contents stay consistent for the failover path.
-        assert context.ledger.kernel_launches == 1
-        assert tr.counter("dispatch.fuse.reject.device-lost") == 1
-        assert list(buf_b.data) == [float(i) * 2.0 for i in range(n)]
+        ):
+            with tracing() as tr:
+                queue.enqueue_nd_range_kernel(k_a, [n])
+                with pytest.raises(CLDeviceLost):
+                    queue.enqueue_nd_range_kernel(k_b, [n])
+            assert device.lost
+            # The producer executed before the loss surfaced, so buffer
+            # contents stay consistent for the failover path.
+            assert context.ledger.kernel_launches == 1
+            assert tr.counter("dispatch.fuse.reject.device-lost") == 1
+            assert list(buf_b.data) == [float(i) * 2.0 for i in range(n)]
 
 
 class TestXferElimUnderLoss:
@@ -173,10 +170,8 @@ class TestXferElimUnderLoss:
     to a device that was lost and failed over."""
 
     def _chain(self, n, repeats):
-        faults.clear()
         cl.reset_platforms()
-        dispatch.configure(fusion=True)
-        try:
+        with configure(fusion=True):
             gpu = cl.find_device("GPU")
             cpu = cl.find_device("CPU")
             context = cl.Context([gpu, cpu])
@@ -190,8 +185,7 @@ class TestXferElimUnderLoss:
             plan = FaultPlan(
                 [FaultSpec("kernel", DEVICE_LOST, key=f"poke@{gpu.name}")]
             )
-            dispatch.configure(faults=plan)
-            with tracing() as tr:
+            with configure(faults=plan), tracing() as tr:
                 q_gpu.enqueue_write_buffer(buf, data)
                 for _ in range(repeats):
                     q_gpu.enqueue_write_buffer(buf, data)
@@ -211,8 +205,6 @@ class TestXferElimUnderLoss:
                 # And elision re-arms on the survivor as usual.
                 q_cpu.enqueue_write_buffer(buf, data)
                 assert tr.counter("dispatch.xfer_elim") == repeats + 1
-        finally:
-            dispatch.configure(fusion=False, faults=None)
 
     def test_failed_over_upload_is_always_priced(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -9,6 +9,7 @@ determinism guarantee (same plan + seed => bit-identical ledgers).
 
 import pytest
 
+from repro import configure, current_config
 from repro import opencl as cl
 from repro.errors import (
     CLBuildProgramFailure,
@@ -18,7 +19,7 @@ from repro.errors import (
     CLOutOfResources,
     CLTransferFailure,
 )
-from repro.opencl import dispatch, faults
+from repro.opencl import dispatch
 from repro.opencl.faults import (
     DEVICE_LOST,
     PERMANENT,
@@ -41,10 +42,8 @@ __kernel void fill(__global int *a, int v) {
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     yield
-    faults.clear()
     cl.reset_platforms()
 
 
@@ -128,90 +127,94 @@ class TestFaultPlan:
 class TestConfigure:
     def test_install_and_clear(self):
         plan = FaultPlan([FaultSpec("h2d")])
-        settings = dispatch.configure(faults=plan)
-        assert settings["faults"] is plan
-        assert faults.active_plan() is plan
-        settings = dispatch.configure(faults=None)
-        assert settings["faults"] is None
+        with configure(faults=plan) as settings:
+            assert settings.faults is plan
+            assert current_config().faults is plan
+            assert dispatch.configure()["faults"] is plan
+        assert current_config().faults is None
+        assert dispatch.configure()["faults"] is None
 
     def test_retry_policy_roundtrip(self):
         policy = RetryPolicy(max_attempts=5, backoff_ns=10.0)
-        assert dispatch.configure(retry=policy)["retry"] is policy
-        assert dispatch.configure(retry=None)["retry"] == RetryPolicy()
+        assert FaultPlan(retry=policy).retry is policy
+        assert FaultPlan().retry == RetryPolicy()
 
     def test_rejects_wrong_types(self):
         with pytest.raises(CLInvalidValue):
-            dispatch.configure(faults=42)
+            with configure(faults=42):
+                pass
         with pytest.raises(CLInvalidValue):
-            dispatch.configure(retry="never")
+            FaultPlan(retry="never")
 
     def test_omitting_arguments_changes_nothing(self):
         plan = FaultPlan([FaultSpec("h2d")])
-        dispatch.configure(faults=plan)
-        assert dispatch.configure()["faults"] is plan
+        with configure(faults=plan), configure():
+            assert dispatch.configure()["faults"] is plan
 
 
 class TestTransferFaults:
     def test_transient_h2d_recovers_and_charges_retries(self):
-        dispatch.configure(
-            faults=FaultPlan([FaultSpec("h2d", kind=TRANSIENT)]),
-            retry=RetryPolicy(max_attempts=3, backoff_ns=100.0),
-        )
-        _, context, queue = gpu_context()
-        buf = cl.Buffer(context, 8, dtype="int")
-        baseline_host = context.ledger.host_ns
-        with tracing() as tracer:
-            queue.enqueue_write_buffer(buf, [1, 2, 3, 4, 5, 6, 7, 8])
-        out = [0] * 8
-        queue.enqueue_read_buffer(buf, out)
-        assert out == [1, 2, 3, 4, 5, 6, 7, 8]
-        counters = tracer.counters()
-        assert counters["fault.injected"] == 1
-        assert counters["fault.injected.transient"] == 1
-        assert counters["fault.retry"] == 1
-        # One failed attempt charged as h2d, backoff charged as host.
-        assert context.ledger.host_ns >= baseline_host + 100.0
+        with configure(
+            faults=FaultPlan(
+                [FaultSpec("h2d", kind=TRANSIENT)],
+                retry=RetryPolicy(max_attempts=3, backoff_ns=100.0),
+            )
+        ):
+            _, context, queue = gpu_context()
+            buf = cl.Buffer(context, 8, dtype="int")
+            baseline_host = context.ledger.host_ns
+            with tracing() as tracer:
+                queue.enqueue_write_buffer(buf, [1, 2, 3, 4, 5, 6, 7, 8])
+            out = [0] * 8
+            queue.enqueue_read_buffer(buf, out)
+            assert out == [1, 2, 3, 4, 5, 6, 7, 8]
+            counters = tracer.counters()
+            assert counters["fault.injected"] == 1
+            assert counters["fault.injected.transient"] == 1
+            assert counters["fault.retry"] == 1
+            # One failed attempt charged as h2d, backoff charged as host.
+            assert context.ledger.host_ns >= baseline_host + 100.0
 
     def test_permanent_d2h_raises_with_fault_metadata(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("d2h", kind=PERMANENT)])
-        )
-        _, context, queue = gpu_context()
-        buf = cl.Buffer(context, 4, dtype="int")
-        queue.enqueue_write_buffer(buf, [9, 9, 9, 9])
-        with pytest.raises(CLTransferFailure) as info:
-            queue.enqueue_read_buffer(buf, [0] * 4)
-        assert info.value.transient is False
-        assert info.value.fault.op == "d2h"
+        ):
+            _, context, queue = gpu_context()
+            buf = cl.Buffer(context, 4, dtype="int")
+            queue.enqueue_write_buffer(buf, [9, 9, 9, 9])
+            with pytest.raises(CLTransferFailure) as info:
+                queue.enqueue_read_buffer(buf, [0] * 4)
+            assert info.value.transient is False
+            assert info.value.fault.op == "d2h"
 
     def test_failed_write_does_not_mutate_the_buffer(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("h2d", kind=PERMANENT, index=1)])
-        )
-        _, context, queue = gpu_context()
-        buf = cl.Buffer(context, 4, dtype="int")
-        queue.enqueue_write_buffer(buf, [1, 2, 3, 4])
-        with pytest.raises(CLTransferFailure):
-            queue.enqueue_write_buffer(buf, [5, 6, 7, 8])
-        out = [0] * 4
-        queue.enqueue_read_buffer(buf, out)
-        assert out == [1, 2, 3, 4]
+        ):
+            _, context, queue = gpu_context()
+            buf = cl.Buffer(context, 4, dtype="int")
+            queue.enqueue_write_buffer(buf, [1, 2, 3, 4])
+            with pytest.raises(CLTransferFailure):
+                queue.enqueue_write_buffer(buf, [5, 6, 7, 8])
+            out = [0] * 4
+            queue.enqueue_read_buffer(buf, out)
+            assert out == [1, 2, 3, 4]
 
     def test_retry_exhaustion_surfaces_original_kind(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan(
-                [FaultSpec("h2d", kind=TRANSIENT, times=10)]
-            ),
-            retry=RetryPolicy(max_attempts=3, backoff_ns=0.0),
-        )
-        _, context, queue = gpu_context()
-        buf = cl.Buffer(context, 4, dtype="int")
-        with tracing() as tracer:
-            with pytest.raises(CLTransferFailure) as info:
-                queue.enqueue_write_buffer(buf, [1, 2, 3, 4])
-        assert info.value.transient is True
-        assert info.value.fault.kind == TRANSIENT
-        assert tracer.counters()["fault.retry"] == 2  # attempts 2 and 3
+                [FaultSpec("h2d", kind=TRANSIENT, times=10)],
+                retry=RetryPolicy(max_attempts=3, backoff_ns=0.0),
+            )
+        ):
+            _, context, queue = gpu_context()
+            buf = cl.Buffer(context, 4, dtype="int")
+            with tracing() as tracer:
+                with pytest.raises(CLTransferFailure) as info:
+                    queue.enqueue_write_buffer(buf, [1, 2, 3, 4])
+            assert info.value.transient is True
+            assert info.value.fault.kind == TRANSIENT
+            assert tracer.counters()["fault.retry"] == 2  # attempts 2 and 3
 
 
 class TestBufferOrdinals:
@@ -224,93 +227,93 @@ class TestBufferOrdinals:
         b0.release()
         b2 = cl.Buffer(context, 4, dtype="int")
         assert [b0.ordinal, b1.ordinal, b2.ordinal] == [0, 1, 2]
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("h2d", kind=PERMANENT, key="buf1")])
-        )
-        queue.enqueue_write_buffer(b2, [1, 2, 3, 4])
-        with pytest.raises(CLTransferFailure):
-            queue.enqueue_write_buffer(b1, [1, 2, 3, 4])
+        ):
+            queue.enqueue_write_buffer(b2, [1, 2, 3, 4])
+            with pytest.raises(CLTransferFailure):
+                queue.enqueue_write_buffer(b1, [1, 2, 3, 4])
 
 
 class TestKernelAndApiFaults:
     def test_kernel_fault_raises_out_of_resources(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("kernel", kind=PERMANENT)])
-        )
-        _, context, queue = gpu_context()
-        program = cl.Program(context, SRC).build()
-        kernel = program.create_kernel("fill")
-        buf = cl.Buffer(context, 16, dtype="int")
-        kernel.set_arg(0, buf)
-        kernel.set_arg(1, 3)
-        with pytest.raises(CLOutOfResources):
-            queue.enqueue_nd_range_kernel(kernel, (16,))
+        ):
+            _, context, queue = gpu_context()
+            program = cl.Program(context, SRC).build()
+            kernel = program.create_kernel("fill")
+            buf = cl.Buffer(context, 16, dtype="int")
+            kernel.set_arg(0, buf)
+            kernel.set_arg(1, 3)
+            with pytest.raises(CLOutOfResources):
+                queue.enqueue_nd_range_kernel(kernel, (16,))
 
     def test_api_fault_raises_out_of_host_memory(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("api", kind=PERMANENT)]),
-        )
-        _, context, _ = gpu_context()
-        with pytest.raises(CLOutOfHostMemory):
-            context.charge_api_call(name="clRetainContext")
+        ):
+            _, context, _ = gpu_context()
+            with pytest.raises(CLOutOfHostMemory):
+                context.charge_api_call(name="clRetainContext")
 
     def test_transient_api_fault_recovers(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("api", kind=TRANSIENT)]),
-        )
-        _, context, _ = gpu_context()
-        context.charge_api_call(name="clRetainContext")
-        assert context.ledger.api_calls == 1
+        ):
+            _, context, _ = gpu_context()
+            context.charge_api_call(name="clRetainContext")
+            assert context.ledger.api_calls == 1
 
     def test_device_lost_api_fault_marks_no_device(self):
         """An API call names no device: the loss surfaces, nothing is
         marked lost."""
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("api", kind=DEVICE_LOST)]),
-        )
-        device, context, _ = gpu_context()
-        with pytest.raises(CLDeviceLost):
-            context.charge_api_call(device, name="clRetainContext")
-        assert not device.lost
+        ):
+            device, context, _ = gpu_context()
+            with pytest.raises(CLDeviceLost):
+                context.charge_api_call(device, name="clRetainContext")
+            assert not device.lost
 
 
 class TestBuildFaults:
     def test_transient_build_recovers(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("build", kind=TRANSIENT)])
-        )
-        _, context, _ = gpu_context()
-        program = cl.Program(context, SRC).build()
-        assert program.is_built
+        ):
+            _, context, _ = gpu_context()
+            program = cl.Program(context, SRC).build()
+            assert program.is_built
 
     def test_permanent_build_raises_with_injected_log(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("build", kind=PERMANENT, times=9)])
-        )
-        _, context, _ = gpu_context()
-        with pytest.raises(CLBuildProgramFailure) as info:
-            cl.Program(context, SRC).build()
-        assert "injected permanent build fault" in info.value.build_log
-        assert info.value.fault.op == "build"
+        ):
+            _, context, _ = gpu_context()
+            with pytest.raises(CLBuildProgramFailure) as info:
+                cl.Program(context, SRC).build()
+            assert "injected permanent build fault" in info.value.build_log
+            assert info.value.fault.op == "build"
 
     def test_device_lost_build_loses_the_device(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("build", kind=DEVICE_LOST)])
-        )
-        device, context, _ = gpu_context()
-        with pytest.raises(CLDeviceLost) as info:
-            cl.Program(context, SRC).build()
-        assert info.value.fault.op == "build"
-        assert device.lost
+        ):
+            device, context, _ = gpu_context()
+            with pytest.raises(CLDeviceLost) as info:
+                cl.Program(context, SRC).build()
+            assert info.value.fault.op == "build"
+            assert device.lost
 
     def test_faulted_build_charges_the_compile(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("build", kind=TRANSIENT)])
-        )
-        device, context, _ = gpu_context()
-        cl.Program(context, SRC).build()
-        # Two compile attempts charged (failed + succeeded).
-        assert context.ledger.host_ns >= 2 * device.spec.compile_ns
+        ):
+            device, context, _ = gpu_context()
+            cl.Program(context, SRC).build()
+            # Two compile attempts charged (failed + succeeded).
+            assert context.ledger.host_ns >= 2 * device.spec.compile_ns
 
 
 def _fill_kernel(context, n):
@@ -385,94 +388,95 @@ class TestFaultSpans:
         expected = ledger_totals(clean_context.ledger)
 
         cl.reset_platforms()
-        dispatch.configure(
-            faults=FaultPlan([spec]),
-            retry=RetryPolicy(max_attempts=3, backoff_ns=500.0),
-        )
-        with tracing() as tracer:
-            context, (name, category, track, attempt_ns, key) = workload()
-        attempts = [
-            (s.category, s.track, s.dur_ns, s.args)
-            for s in tracer.spans if s.name == name
-        ]
-        assert attempts == [
-            (category, track, attempt_ns, {"key": key, "kind": TRANSIENT})
-        ]
-        backoffs = [
-            (s.category, s.track, s.dur_ns)
-            for s in tracer.spans if s.name == "fault.backoff"
-        ]
-        assert backoffs == [("host", f"host/context-{context.id}", 500.0)]
-        assert tracer.counters()["fault.retry"] == 1
-        expected[f"{category}_ns"] += attempt_ns
-        expected["host_ns"] += 500.0
-        assert ledger_totals(context.ledger) == pytest.approx(expected)
+        with configure(
+            faults=FaultPlan(
+                [spec], retry=RetryPolicy(max_attempts=3, backoff_ns=500.0)
+            )
+        ):
+            with tracing() as tracer:
+                context, (name, category, track, attempt_ns, key) = workload()
+            attempts = [
+                (s.category, s.track, s.dur_ns, s.args)
+                for s in tracer.spans if s.name == name
+            ]
+            assert attempts == [
+                (category, track, attempt_ns, {"key": key, "kind": TRANSIENT})
+            ]
+            backoffs = [
+                (s.category, s.track, s.dur_ns)
+                for s in tracer.spans if s.name == "fault.backoff"
+            ]
+            assert backoffs == [("host", f"host/context-{context.id}", 500.0)]
+            assert tracer.counters()["fault.retry"] == 1
+            expected[f"{category}_ns"] += attempt_ns
+            expected["host_ns"] += 500.0
+            assert ledger_totals(context.ledger) == pytest.approx(expected)
 
 
 class TestDeviceLoss:
     def test_lost_device_refuses_new_work_but_drains_reads(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan(
                 [FaultSpec("kernel", kind=DEVICE_LOST)]
             )
-        )
-        device, context, queue = gpu_context()
-        program = cl.Program(context, SRC).build()
-        kernel = program.create_kernel("fill")
-        buf = cl.Buffer(context, 16, dtype="int")
-        queue.enqueue_write_buffer(buf, [7] * 16)
-        kernel.set_arg(0, buf)
-        kernel.set_arg(1, 3)
-        with pytest.raises(CLDeviceLost):
-            queue.enqueue_nd_range_kernel(kernel, (16,))
-        assert device.lost and not device.available
-        with pytest.raises(CLDeviceLost):
-            queue.enqueue_write_buffer(buf, [0] * 16)
-        out = [0] * 16
-        queue.enqueue_read_buffer(buf, out)
-        assert out == [7] * 16
+        ):
+            device, context, queue = gpu_context()
+            program = cl.Program(context, SRC).build()
+            kernel = program.create_kernel("fill")
+            buf = cl.Buffer(context, 16, dtype="int")
+            queue.enqueue_write_buffer(buf, [7] * 16)
+            kernel.set_arg(0, buf)
+            kernel.set_arg(1, 3)
+            with pytest.raises(CLDeviceLost):
+                queue.enqueue_nd_range_kernel(kernel, (16,))
+            assert device.lost and not device.available
+            with pytest.raises(CLDeviceLost):
+                queue.enqueue_write_buffer(buf, [0] * 16)
+            out = [0] * 16
+            queue.enqueue_read_buffer(buf, out)
+            assert out == [7] * 16
 
     def test_multi_device_dispatch_fails_over_to_survivors(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan(
                 [FaultSpec("kernel", kind=DEVICE_LOST, key="fill@*R9*")]
             )
-        )
-        platform = cl.get_platforms()[0]
-        context = cl.Context(platform.devices)
-        program = cl.Program(context, SRC).build()
-        kernel = program.create_kernel("fill")
-        buf = cl.Buffer(context, 1024, dtype="int")
-        kernel.set_arg(0, buf)
-        kernel.set_arg(1, 5)
-        with tracing() as tracer:
-            events = context.enqueue_nd_range(kernel, (1024,), (64,))
-        assert len(events) == 1  # whole range landed on the survivor
-        out = [0] * 1024
-        cpu = next(d for d in platform.devices if not d.lost)
-        context.queue_for(cpu).enqueue_read_buffer(buf, out)
-        assert out == [5] * 1024
-        counters = tracer.counters()
-        assert counters["fault.failover"] == 1
-        assert counters["fault.injected.device-lost"] == 1
+        ):
+            platform = cl.get_platforms()[0]
+            context = cl.Context(platform.devices)
+            program = cl.Program(context, SRC).build()
+            kernel = program.create_kernel("fill")
+            buf = cl.Buffer(context, 1024, dtype="int")
+            kernel.set_arg(0, buf)
+            kernel.set_arg(1, 5)
+            with tracing() as tracer:
+                events = context.enqueue_nd_range(kernel, (1024,), (64,))
+            assert len(events) == 1  # whole range landed on the survivor
+            out = [0] * 1024
+            cpu = next(d for d in platform.devices if not d.lost)
+            context.queue_for(cpu).enqueue_read_buffer(buf, out)
+            assert out == [5] * 1024
+            counters = tracer.counters()
+            assert counters["fault.failover"] == 1
+            assert counters["fault.injected.device-lost"] == 1
 
     def test_every_device_lost_raises(self):
-        dispatch.configure(
+        with configure(
             faults=FaultPlan(
                 [FaultSpec("kernel", kind=DEVICE_LOST, key="fill@*")]
             )
-        )
-        platform = cl.get_platforms()[0]
-        context = cl.Context(platform.devices)
-        program = cl.Program(context, SRC).build()
-        kernel = program.create_kernel("fill")
-        buf = cl.Buffer(context, 1024, dtype="int")
-        kernel.set_arg(0, buf)
-        kernel.set_arg(1, 5)
-        with pytest.raises(CLDeviceLost):
-            context.enqueue_nd_range(kernel, (1024,), (64,))
-        with pytest.raises(CLDeviceLost):
-            context.enqueue_nd_range(kernel, (1024,), (64,))
+        ):
+            platform = cl.get_platforms()[0]
+            context = cl.Context(platform.devices)
+            program = cl.Program(context, SRC).build()
+            kernel = program.create_kernel("fill")
+            buf = cl.Buffer(context, 1024, dtype="int")
+            kernel.set_arg(0, buf)
+            kernel.set_arg(1, 5)
+            with pytest.raises(CLDeviceLost):
+                context.enqueue_nd_range(kernel, (1024,), (64,))
+            with pytest.raises(CLDeviceLost):
+                context.enqueue_nd_range(kernel, (1024,), (64,))
 
 
 class TestVecTierDegrade:
@@ -488,22 +492,22 @@ class TestVecTierDegrade:
         reference = [0] * 1024
         queue.enqueue_read_buffer(buf, reference)
 
-        dispatch.configure(
+        with configure(
             faults=FaultPlan([FaultSpec("vec", kind=TRANSIENT)])
-        )
-        context.reset_ledger()
-        buf2 = cl.Buffer(context, 1024, dtype="int")
-        kernel.set_arg(0, buf2)
-        with tracing() as tracer:
-            queue.enqueue_nd_range_kernel(kernel, (1024,))
-        degraded = [0] * 1024
-        queue.enqueue_read_buffer(buf2, degraded)
-        assert degraded == reference
-        assert context.ledger.kernel_ns == pytest.approx(clean_kernel_ns)
-        counters = tracer.counters()
-        assert counters["fault.injected"] == 1
-        assert counters["fault.failover"] == 1
-        assert counters["dispatch.fallback.fault"] == 1
+        ):
+            context.reset_ledger()
+            buf2 = cl.Buffer(context, 1024, dtype="int")
+            kernel.set_arg(0, buf2)
+            with tracing() as tracer:
+                queue.enqueue_nd_range_kernel(kernel, (1024,))
+            degraded = [0] * 1024
+            queue.enqueue_read_buffer(buf2, degraded)
+            assert degraded == reference
+            assert context.ledger.kernel_ns == pytest.approx(clean_kernel_ns)
+            counters = tracer.counters()
+            assert counters["fault.injected"] == 1
+            assert counters["fault.failover"] == 1
+            assert counters["dispatch.fallback.fault"] == 1
 
 
 class TestDeterminism:
@@ -531,32 +535,34 @@ class TestDeterminism:
 
     def test_same_seed_same_ledger_bit_for_bit(self):
         plan = FaultPlan(seed=11, rate=0.3, kinds=(TRANSIENT, PERMANENT))
-        dispatch.configure(faults=plan)
-        first_totals, first_out = self._workload()
-        plan.reset()
-        second_totals, second_out = self._workload()
-        assert first_totals == second_totals
-        assert first_out == second_out
-        assert plan.injected > 0
+        with configure(faults=plan):
+            first_totals, first_out = self._workload()
+            plan.reset()
+            second_totals, second_out = self._workload()
+            assert first_totals == second_totals
+            assert first_out == second_out
+            assert plan.injected > 0
 
     def test_no_plan_matches_fault_free_run(self):
         clean_totals, clean_out = self._workload()
-        dispatch.configure(faults=None)
-        again_totals, again_out = self._workload()
+        with configure(faults=None):
+            again_totals, again_out = self._workload()
         assert clean_totals == again_totals
         assert clean_out == again_out
 
 
 class TestTracerSummary:
     def test_summary_counters_include_fault_namespace(self):
-        dispatch.configure(
-            faults=FaultPlan([FaultSpec("h2d", kind=TRANSIENT)]),
-            retry=RetryPolicy(max_attempts=2, backoff_ns=1.0),
-        )
-        _, context, queue = gpu_context()
-        buf = cl.Buffer(context, 8, dtype="int")
-        with tracing() as tracer:
-            queue.enqueue_write_buffer(buf, [0] * 8)
-            summary = tracer.summary(with_counters=True)
-        assert summary["counters"]["fault.injected"] == 1
-        assert summary["counters"]["fault.retry"] == 1
+        with configure(
+            faults=FaultPlan(
+                [FaultSpec("h2d", kind=TRANSIENT)],
+                retry=RetryPolicy(max_attempts=2, backoff_ns=1.0),
+            )
+        ):
+            _, context, queue = gpu_context()
+            buf = cl.Buffer(context, 8, dtype="int")
+            with tracing() as tracer:
+                queue.enqueue_write_buffer(buf, [0] * 8)
+                summary = tracer.summary(with_counters=True)
+            assert summary["counters"]["fault.injected"] == 1
+            assert summary["counters"]["fault.retry"] == 1

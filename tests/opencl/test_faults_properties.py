@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import configure
 from repro import opencl as cl
 from repro.errors import CLError
-from repro.opencl import dispatch, faults
 from repro.opencl.faults import (
     DEVICE_LOST,
     PERMANENT,
@@ -41,10 +41,8 @@ __kernel void scale2(__global int *a, int n) {
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     yield
-    faults.clear()
     cl.reset_platforms()
 
 
@@ -90,6 +88,7 @@ plans = st.builds(
     rate=st.floats(min_value=0.0, max_value=0.6),
     kinds=st.sampled_from([(TRANSIENT,), (PERMANENT,),
                            (TRANSIENT, PERMANENT)]),
+    retry=st.just(RetryPolicy(max_attempts=2, backoff_ns=50.0)),
 )
 
 
@@ -97,12 +96,10 @@ class TestReplay:
     @settings(deadline=None, max_examples=30)
     @given(plans)
     def test_same_seed_bit_identical_ledgers_and_outputs(self, plan):
-        dispatch.configure(faults=plan,
-                           retry=RetryPolicy(max_attempts=2,
-                                             backoff_ns=50.0))
-        first = run_workload()
-        plan.reset()
-        second = run_workload()
+        with configure(faults=plan):
+            first = run_workload()
+            plan.reset()
+            second = run_workload()
         assert first == second
 
 
@@ -116,13 +113,13 @@ class TestRecovery:
     ):
         # A burst of `burst` consecutive transient faults recovers as
         # long as the retry budget exceeds it (attempts > burst).
-        dispatch.configure(
+        with configure(
             faults=FaultPlan(
-                [FaultSpec(op, kind=TRANSIENT, index=index, times=burst)]
-            ),
-            retry=RetryPolicy(max_attempts=burst + 1, backoff_ns=10.0),
-        )
-        _, out, errors = run_workload()
+                [FaultSpec(op, kind=TRANSIENT, index=index, times=burst)],
+                retry=RetryPolicy(max_attempts=burst + 1, backoff_ns=10.0),
+            )
+        ):
+            _, out, errors = run_workload()
         assert errors == []
         assert out == [8] * 64  # last of 4 rounds writes 4, kernel doubles
 
@@ -133,17 +130,18 @@ class TestRecovery:
         # redraws), but every surfaced error must be transient-kind and
         # a clean run of the same workload must be unaffected after.
         _, clean_out, _ = run_workload()
-        dispatch.configure(
-            faults=FaultPlan(seed=seed, rate=0.25, kinds=(TRANSIENT,)),
-            retry=RetryPolicy(max_attempts=4, backoff_ns=0.0),
-        )
-        _, faulted_out, errors = run_workload()
+        with configure(
+            faults=FaultPlan(
+                seed=seed, rate=0.25, kinds=(TRANSIENT,),
+                retry=RetryPolicy(max_attempts=4, backoff_ns=0.0),
+            )
+        ):
+            _, faulted_out, errors = run_workload()
         for name, kind in errors:
             assert kind == TRANSIENT
             assert name in ("CLTransferFailure", "CLOutOfResources")
         if not errors:
             assert faulted_out == clean_out
-        dispatch.configure(faults=None)
         _, after_out, after_errors = run_workload()
         assert after_errors == []
         assert after_out == clean_out
@@ -154,11 +152,13 @@ class TestExhaustion:
     @given(st.sampled_from(["h2d", "d2h", "kernel"]),
            st.integers(min_value=1, max_value=3))
     def test_exhaustion_surfaces_original_fault_kind(self, op, attempts):
-        dispatch.configure(
-            faults=FaultPlan([FaultSpec(op, kind=TRANSIENT, times=8)]),
-            retry=RetryPolicy(max_attempts=attempts, backoff_ns=0.0),
-        )
-        _, _, errors = run_workload(rounds=1)
+        with configure(
+            faults=FaultPlan(
+                [FaultSpec(op, kind=TRANSIENT, times=8)],
+                retry=RetryPolicy(max_attempts=attempts, backoff_ns=0.0),
+            )
+        ):
+            _, _, errors = run_workload(rounds=1)
         assert len(errors) == 1
         name, kind = errors[0]
         assert kind == TRANSIENT
@@ -194,13 +194,12 @@ class TestFailover:
             return out
 
         cl.reset_platforms()
-        faults.clear()
         clean = split_dispatch()
 
         cl.reset_platforms()
-        dispatch.configure(faults=FaultPlan([
+        with configure(faults=FaultPlan([
             FaultSpec("kernel", kind=DEVICE_LOST, key="scale2@*R9*",
                       index=occurrence)
-        ]))
-        faulted = split_dispatch()
+        ])):
+            faulted = split_dispatch()
         assert faulted == clean

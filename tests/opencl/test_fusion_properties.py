@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import configure
 from repro import opencl as cl
-from repro.opencl import dispatch
 from repro.trace import tracing
 
 pytestmark = pytest.mark.fusion
@@ -51,10 +51,8 @@ __kernel void pick(__global int *src, __global int *dst, int k) {
 
 @pytest.fixture(autouse=True)
 def _clean():
-    dispatch.configure(fusion=False)
     cl.reset_platforms()
     yield
-    dispatch.configure(fusion=False)
     cl.reset_platforms()
 
 
@@ -151,14 +149,10 @@ class TestChainAgreement:
     def test_fused_chain_matches_unfused_bit_for_bit(self, chain):
         init = initial_contents()
         cl.reset_platforms()
-        dispatch.configure(fusion=False)
         plain, _ = run_chain(chain, init)
         cl.reset_platforms()
-        dispatch.configure(fusion=True)
-        try:
+        with configure(fusion=True):
             fused, _ = run_chain(chain, init)
-        finally:
-            dispatch.configure(fusion=False)
         assert fused == plain
 
     @given(chain=chains())
@@ -166,12 +160,8 @@ class TestChainAgreement:
     def test_every_dispatch_is_accounted_once(self, chain):
         init = initial_contents()
         cl.reset_platforms()
-        dispatch.configure(fusion=True)
-        try:
-            with tracing() as tr:
-                _, enqueued = run_chain(chain, init)
-        finally:
-            dispatch.configure(fusion=False)
+        with configure(fusion=True), tracing() as tr:
+            _, enqueued = run_chain(chain, init)
         fused = tr.counter("dispatch.fuse")
         rejected = tr.counter("dispatch.fuse.reject")
         assert rejected == enqueued - 2 * fused
@@ -181,12 +171,8 @@ class TestIllegalPairsDemote:
     def _run_pair(self, first, second):
         init = initial_contents()
         cl.reset_platforms()
-        dispatch.configure(fusion=True)
-        try:
-            with tracing() as tr:
-                fused, _ = run_chain([first, second], init)
-        finally:
-            dispatch.configure(fusion=False)
+        with configure(fusion=True), tracing() as tr:
+            fused, _ = run_chain([first, second], init)
         cl.reset_platforms()
         plain, _ = run_chain([first, second], init)
         assert fused == plain

@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from repro import configure
 from repro import kcache
 from repro.kir import KernelRunner, npcodegen
 from repro.opencl import (
@@ -24,7 +25,6 @@ from repro.opencl import (
     Program,
     READ_WRITE,
     dispatch,
-    faults,
     group_warp_costs,
 )
 from repro.opencl.costmodel import cpu_spec, gpu_spec
@@ -346,16 +346,11 @@ class TestSplitTierAgreement:
 
     def test_vec_fault_demotes(self, per_item_runs, scalar_tier):
         a, b = generate(N)
-        dispatch.configure(
-            faults=FaultPlan([FaultSpec("vec", kind=TRANSIENT)])
-        )
-        try:
+        with configure(faults=FaultPlan([FaultSpec("vec", kind=TRANSIENT)])):
             tr = _agrees_with_scalar(
                 scalar_tier, KERNEL_SOURCE, "matmul", (N, N), (8, 8),
                 [a, b, [0.0] * N * N, N],
             )
-        finally:
-            faults.clear()
         assert tr.counter("dispatch.fallback") == 1
         assert tr.counter("dispatch.fallback.fault") == 1
         assert per_item_runs == [False, True]

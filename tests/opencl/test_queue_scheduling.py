@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import configure
 from repro import opencl
 from repro.opencl import (
     Buffer,
@@ -22,11 +23,7 @@ from repro.opencl import (
     reset_platforms,
 )
 from repro.opencl.context import fresh_clock
-from repro.runtime.oclenv import (
-    device_matrix,
-    reset_device_matrix,
-    set_out_of_order_queues,
-)
+from repro.runtime.oclenv import device_matrix, reset_device_matrix
 from repro.trace import tracing
 
 SRC = """
@@ -48,9 +45,7 @@ N = 64
 def _clean_runtime():
     reset_platforms()
     reset_device_matrix()
-    set_out_of_order_queues(False)
     yield
-    set_out_of_order_queues(False)
     reset_device_matrix()
     reset_platforms()
 
@@ -291,9 +286,8 @@ class TestLudPipeline:
     def _run(self, out_of_order):
         from repro.apps.lud import runners
 
-        set_out_of_order_queues(out_of_order)
         reset_device_matrix()
-        with fresh_clock():
+        with configure(out_of_order=out_of_order), fresh_clock():
             outcome = runners.run_actors(self.N_LUD, "GPU", movable=False)
         envs = device_matrix().environments()
         assert len(envs) == 1  # one queue per device (Section 6.2.1)
@@ -319,3 +313,23 @@ class TestLudPipeline:
         assert first.result == second.result
         assert q1.makespan_ns == pytest.approx(q2.makespan_ns)
         assert q1.overlap_ns == pytest.approx(q2.overlap_ns)
+
+    def test_mode_switch_reaches_an_existing_environment(self):
+        """A configured mode applies to an environment the matrix
+        already holds: its queue is replaced on the same context, so
+        one queue per device remains and nothing priced changes."""
+        from repro.apps.lud import runners
+
+        base = runners.run_actors(16, "GPU", movable=False)
+        (env,) = device_matrix().environments()
+        context = env.context
+        assert not env.queue.out_of_order
+        with configure(out_of_order=True):
+            ooo = runners.run_actors(16, "GPU", movable=False)
+        (env,) = device_matrix().environments()
+        assert env.context is context
+        assert env.queue.out_of_order
+        assert env.queue.overlap_ns > 0.0
+        assert context._queues == [env.queue]
+        assert ooo.result == base.result
+        assert ooo.breakdown == base.breakdown

@@ -14,11 +14,11 @@ import re
 
 import pytest
 
+from repro import configure
 from repro import opencl as cl
 from repro.apps.lud import runners as lud
 from repro.errors import ActorError, CLOutOfHostMemory, CLOutOfResources
 from repro.harness.chaos import priced_totals
-from repro.opencl import dispatch, faults
 from repro.opencl.context import current_clock
 from repro.opencl.faults import (
     DEVICE_LOST,
@@ -37,12 +37,9 @@ N = 8
 
 @pytest.fixture(autouse=True)
 def _clean():
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
     yield
-    dispatch.configure(fusion=False, faults=None)
-    faults.clear()
     cl.reset_platforms()
     reset_device_matrix()
 
@@ -57,14 +54,10 @@ def run_ensemble_traced(plan=None):
     reset_device_matrix()
     if plan is not None:
         plan.reset()
-    dispatch.configure(faults=plan)
-    try:
-        tracer = Tracer()
-        current_clock().timeline.reset()
-        with tracing(tracer):
-            outcome = lud.run_ensemble(N, "GPU", movable=True)
-    finally:
-        dispatch.configure(faults=None)
+    tracer = Tracer()
+    current_clock().timeline.reset()
+    with configure(faults=plan), tracing(tracer):
+        outcome = lud.run_ensemble(N, "GPU", movable=True)
     priced, fault_part = priced_totals((tracer,))
     return outcome, priced, fault_part, tracer
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import configure
+from repro.opencl.faults import FaultPlan, FaultSpec
 from repro.trace import Tracer, chrome_trace, chrome_trace_events, tracing
 from repro.trace.export import write_chrome_trace
 
@@ -85,6 +87,23 @@ class TestFileRoundTrip:
         doc = chrome_trace(make_tracer())
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"]["generator"] == "repro.trace"
+
+
+class TestConfigHeader:
+    def test_default_tracer_names_the_default_configuration(self):
+        doc = json.loads(json.dumps(chrome_trace(Tracer())))
+        assert doc["otherData"]["config"] == {
+            "faults": None, "fusion": False, "out_of_order": False,
+        }
+
+    def test_tracer_names_the_configuration_it_was_created_under(self):
+        plan = FaultPlan([FaultSpec("h2d")], seed=7)
+        with configure(fusion=True, faults=plan):
+            tr = Tracer()
+        doc = json.loads(json.dumps(chrome_trace(tr)))
+        assert doc["otherData"]["config"] == {
+            "faults": repr(plan), "fusion": True, "out_of_order": False,
+        }
 
 
 class TestLiveRunExport:

@@ -3,10 +3,10 @@
 
 Checks that every module under ``src/repro/opencl/``,
 ``src/repro/kir/``, ``src/repro/actors/`` and ``src/repro/runtime/``
-(plus ``src/repro/kcache.py``, ``src/repro/openacc/runtime.py`` and
-``src/repro/harness/chaos.py``) carries a module docstring, and that
-each top-level *public* class and function in those modules states a
-one-line contract.  CI runs this so the scheduling/dispatch/
+(plus ``src/repro/config.py``, ``src/repro/kcache.py``,
+``src/repro/openacc/runtime.py`` and ``src/repro/harness/chaos.py``)
+carries a module docstring, and that each top-level *public* class and
+function in those modules states a one-line contract.  CI runs this so the scheduling/dispatch/
 reliability layers the architecture and reliability documents describe
 cannot silently lose their contracts.
 
@@ -26,6 +26,7 @@ TARGETS = [
     os.path.join("src", "repro", "opencl"),
     os.path.join("src", "repro", "kir"),
     os.path.join("src", "repro", "actors"),
+    os.path.join("src", "repro", "config.py"),
     os.path.join("src", "repro", "kcache.py"),
     os.path.join("src", "repro", "runtime"),
     os.path.join("src", "repro", "openacc", "runtime.py"),
@@ -36,6 +37,7 @@ TARGETS = [
 #: drops one of these from coverage fails the lint instead of silently
 #: shrinking it.
 REQUIRED = [
+    os.path.join("src", "repro", "config.py"),
     os.path.join("src", "repro", "opencl", "fusion.py"),
     os.path.join("src", "repro", "opencl", "queue.py"),
     os.path.join("src", "repro", "opencl", "faults.py"),
