@@ -17,14 +17,18 @@ Queues come in the two OpenCL execution modes:
 Commands *execute* synchronously at enqueue time in both modes, so
 buffer contents — and the measured warp maxima the cost model prices —
 are bit-identical regardless of mode; the scheduler only decides where
-each command lands on the queue's schedule timeline.  Each command
-returns an :class:`Event` carrying OpenCL-style profiling timestamps
-(aggregated by the harness into the Figure 3 segments, identically in
-both modes) plus its schedule placement (``sched_start_ns`` /
-``sched_end_ns``), from which :attr:`CommandQueue.makespan_ns` and the
-``queue.overlap_ns`` trace counter are derived.  See
-docs/ARCHITECTURE.md ("The queue scheduling model") for the full
-determinism argument.
+each command lands.  One rule places every command on both schedule
+axes, the queue-local one and the clock's composed end-to-end one:
+a command is *ready* — in-order, when the queue's latest command has
+ended (wait lists are ignored); out-of-order, at the fence, its wait
+list and its buffer hazards — and starts once its engine is free; on
+the composed axis the host cursor is one more lower bound.  Each
+command returns an :class:`Event` carrying OpenCL-style profiling
+timestamps (aggregated by the harness into the Figure 3 segments,
+identically in both modes) plus both placements, from which
+:attr:`CommandQueue.makespan_ns` and the ``queue.overlap_ns`` trace
+counter are derived.  See docs/ARCHITECTURE.md ("The queue scheduling
+model") for the full determinism argument.
 """
 
 from __future__ import annotations
@@ -79,11 +83,12 @@ class Event:
     """Profiling record of one enqueued command.
 
     Carries the four OpenCL profiling timestamps distinctly: QUEUED is
-    when the host enqueued the command, SUBMIT when the (immediately
-    flushed) queue handed it to the device — the same instant here —
-    and START when the device actually began it, which is later than
-    SUBMIT whenever the device was still busy with earlier work
-    (queueing delay).  END = START + duration.
+    when the host enqueued the command, SUBMIT when the queue handed it
+    to the device — the same instant, except for a kernel deferred for
+    fusion, submitted at its flush — and START when the device
+    actually began it, which is later than SUBMIT whenever the device
+    was still busy with earlier work (queueing delay).  END = START +
+    duration.
 
     Additionally carries the command's placement on its queue's
     schedule timeline (``sched_start_ns`` / ``sched_end_ns``, origin 0
@@ -101,14 +106,13 @@ class Event:
         category: str,
         queued_ns: float,
         duration_ns: float,
-        submit_ns: Optional[float] = None,
         start_ns: Optional[float] = None,
     ) -> None:
         self.id = next(_event_ids)
         self.command = command
         self.category = category  # 'h2d' | 'd2h' | 'kernel'
         self.queued_ns = queued_ns
-        self.submit_ns = queued_ns if submit_ns is None else submit_ns
+        self.submit_ns = queued_ns
         self.start_ns = self.submit_ns if start_ns is None else start_ns
         self.end_ns = self.start_ns + duration_ns
         #: placement on the owning queue's schedule timeline
@@ -169,6 +173,31 @@ class _PendingKernel:
         self.event = event
 
 
+class _Axis:
+    """Placement state of one schedule axis: the queue-local one, or
+    this queue's share of the clock's composed end-to-end timeline."""
+
+    __slots__ = ("fence", "engine_free", "max_end")
+
+    def __init__(self) -> None:
+        #: barrier/finish ordering point
+        self.fence = 0.0
+        #: per-engine availability
+        self.engine_free: dict[str, float] = {}
+        #: end of the latest-finishing command (the makespan)
+        self.max_end = 0.0
+
+    def place(self, ready: float, engine: str, ns: float) -> tuple[float, float]:
+        """Run *ns* on *engine* from *ready* or once the engine is free."""
+        free = self.engine_free.get(engine, 0.0)
+        start = ready if ready >= free else free
+        end = start + ns
+        self.engine_free[engine] = end
+        if end > self.max_end:
+            self.max_end = end
+        return start, end
+
+
 class CommandQueue:
     """A command queue bound to one device of a context.
 
@@ -192,37 +221,24 @@ class CommandQueue:
         self.device = device
         self.out_of_order = bool(out_of_order)
         self.released = False
-        # -- schedule state (all timestamps queue-local, origin 0) ----
         #: what an in-order drain of the same commands would take
         self._serial_end = 0.0
-        #: end of the latest-finishing scheduled command (the makespan)
-        self._sched_max_end = 0.0
-        #: per-engine availability (out-of-order mode)
-        self._engine_free: dict[str, float] = {}
-        #: buffer id -> event that last wrote it
+        #: queue-local schedule axis (origin 0 at queue creation)
+        self._local = _Axis()
+        #: composed-axis state and the timeline epoch it belongs to;
+        #: when the timeline resets (Context.reset_ledger between runs)
+        #: the queue re-anchors lazily at the new origin
+        self._e2e = _Axis()
+        self._e2e_epoch = context.clock.timeline.epoch
+        #: buffer id -> event that last wrote it (out-of-order only)
         self._last_writer: dict[int, Event] = {}
         #: buffer id -> events that read it since its last write
         self._last_readers: dict[int, list[Event]] = {}
-        #: schedule time all post-barrier/finish commands must respect
-        self._fence_ns = 0.0
         #: overlap already reported to the tracer counter
         self._overlap_reported = 0.0
         #: kernel dispatch deferred by the graph-level optimiser
         #: (always None while fusion is disabled)
         self._pending: Optional[_PendingKernel] = None
-        # -- composed (end-to-end) schedule state, shared-origin ------
-        #: composed-timeline epoch the state below belongs to; when the
-        #: timeline resets (Context.reset_ledger between runs) the queue
-        #: re-anchors lazily at the new origin
-        self._e2e_epoch = context.clock.timeline.epoch
-        #: end of the previous command on the composed axis (in-order)
-        self._e2e_prev_end = 0.0
-        #: per-engine availability on the composed axis (out-of-order)
-        self._e2e_engine_free: dict[str, float] = {}
-        #: composed-axis fence (barrier/finish ordering point)
-        self._e2e_fence = 0.0
-        #: end of the latest-finishing command on the composed axis
-        self._e2e_max_end = 0.0
         context._queues.append(self)
 
     # -- schedule -----------------------------------------------------------
@@ -230,7 +246,7 @@ class CommandQueue:
     @property
     def makespan_ns(self) -> float:
         """Length of the queue's schedule (max command end, origin 0)."""
-        return self._sched_max_end
+        return self._local.max_end
 
     @property
     def serial_makespan_ns(self) -> float:
@@ -240,7 +256,7 @@ class CommandQueue:
     @property
     def overlap_ns(self) -> float:
         """Schedule time saved vs an in-order drain (0 when in-order)."""
-        return max(0.0, self._serial_end - self._sched_max_end)
+        return max(0.0, self._serial_end - self._local.max_end)
 
     @property
     def e2e_makespan_ns(self) -> float:
@@ -248,29 +264,72 @@ class CommandQueue:
         (0.0 when nothing was placed since the timeline's last epoch)."""
         if self._e2e_epoch != self.context.clock.timeline.epoch:
             return 0.0
-        return self._e2e_max_end
+        return self._e2e.max_end
 
-    def _e2e_anchor(self, epoch: int) -> None:
-        """Re-anchor composed-axis state at a new timeline epoch.
+    def _e2e_anchor(self, timeline) -> int:
+        """Re-anchor the composed axis at *timeline*'s current epoch and
+        return that epoch.
 
         ``Context.reset_ledger`` restarts the composed timeline at
         origin 0; composed coordinates recorded before the reset are
-        stale, so the per-engine availability, fence and makespan drop
-        back to the origin.  Queue-local schedule state (serial end,
-        makespan, ``overlap_ns``) deliberately survives: it describes
-        the queue, not the measured run.
+        stale, so the axis drops back to the origin.  Queue-local
+        schedule state (serial end, makespan, ``overlap_ns``)
+        deliberately survives: it describes the queue, not the measured
+        run.
         """
+        epoch = timeline.epoch
         if self._e2e_epoch != epoch:
-            self._e2e_prev_end = 0.0
-            self._e2e_engine_free.clear()
-            self._e2e_fence = 0.0
-            self._e2e_max_end = 0.0
+            self._e2e = _Axis()
             self._e2e_epoch = epoch
+        return epoch
 
-    @staticmethod
-    def _e2e_end_of(event: Event, epoch: int) -> float:
-        """*event*'s composed end, or 0.0 when from a stale epoch."""
-        return event.e2e_end_ns if event._e2e_epoch == epoch else 0.0
+    def _ready(
+        self, deps: Optional[Sequence[Event]], release: float, epoch: int
+    ) -> tuple[float, float]:
+        """The one readiness rule, as (queue-local, composed) times.
+
+        A command is ready at the fence and after every event of
+        *deps*, or — when *deps* is None — after the queue's latest
+        command.  The composed axis adds the host cursor *release* (a
+        command cannot start before the host issued it); a dependency
+        placed under an older epoch is already satisfied there.
+        """
+        local, e2e = self._local, self._e2e
+        if deps is None:
+            return (
+                max(local.fence, local.max_end),
+                max(release, e2e.fence, e2e.max_end),
+            )
+        ready, e2e_ready = local.fence, max(release, e2e.fence)
+        for dep in deps:
+            ready = max(ready, dep.sched_end_ns)
+            if dep._e2e_epoch == epoch:
+                e2e_ready = max(e2e_ready, dep.e2e_end_ns)
+        return ready, e2e_ready
+
+    def _dependencies(
+        self,
+        reads: Iterable[int],
+        writes: Iterable[int],
+        wait_for: Optional[Sequence[Event]],
+    ) -> Optional[list[Event]]:
+        """What a command waits for: None on an in-order queue (it
+        follows the queue's latest command and ignores *wait_for*), else
+        *wait_for* plus the RAW/WAR/WAW hazards its *reads*/*writes*
+        have on earlier commands."""
+        if not self.out_of_order:
+            return None
+        deps = list(wait_for or ())
+        for buf_id in reads:
+            writer = self._last_writer.get(buf_id)
+            if writer is not None:
+                deps.append(writer)
+        for buf_id in writes:
+            writer = self._last_writer.get(buf_id)
+            if writer is not None:
+                deps.append(writer)
+            deps.extend(self._last_readers.get(buf_id, ()))
+        return deps
 
     def _schedule(
         self,
@@ -281,106 +340,54 @@ class CommandQueue:
         writes: Iterable[int],
         wait_for: Optional[Sequence[Event]],
     ) -> None:
-        """Place *event* on both schedule timelines and update hazards.
-
-        Queue-local axis — in-order: chained after the previous
-        command; out-of-order: placed at max(engine availability,
-        dependency ends, fence), where dependencies are the explicit
-        *wait_for* events plus the inferred RAW/WAR/WAW hazards on
-        *reads*/*writes*.
-
-        Composed axis — the same rules with composed coordinates, plus
-        one extra lower bound: the host cursor at enqueue time (a
-        command cannot start before the host issued it).
-        """
+        """Place *event* on both axes by :meth:`_ready` and its engine
+        (:meth:`_Axis.place`).  Hazard tables and the ``sched/…`` spans
+        are kept for out-of-order queues only; an in-order queue ignores
+        *wait_for* and its hazards."""
         timeline = self.context.clock.timeline
-        epoch = timeline.epoch
-        self._e2e_anchor(epoch)
-        release = timeline.host_pos_ns
+        epoch = self._e2e_anchor(timeline)
         event._e2e_epoch = epoch
-
         serial_start = self._serial_end
         self._serial_end = serial_start + ns
-        if not self.out_of_order:
-            event.sched_start_ns = serial_start
-            event.sched_end_ns = serial_start + ns
-            self._sched_max_end = self._serial_end
-            e2e_start = max(release, self._e2e_prev_end)
-            e2e_end = e2e_start + ns
-            event.e2e_start_ns = e2e_start
-            event.e2e_end_ns = e2e_end
-            self._e2e_prev_end = e2e_end
-            self._e2e_max_end = max(self._e2e_max_end, e2e_end)
-            timeline.place(
-                TIMELINE_KIND_OF[event.category], e2e_start, e2e_end
-            )
-            return
-
-        ready = self._fence_ns
-        e2e_ready = max(release, self._e2e_fence)
-        if wait_for:
-            for dep in wait_for:
-                ready = max(ready, dep.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(dep, epoch))
-        for buf_id in reads:
-            writer = self._last_writer.get(buf_id)
-            if writer is not None:
-                ready = max(ready, writer.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(writer, epoch))
-        for buf_id in writes:
-            writer = self._last_writer.get(buf_id)
-            if writer is not None:
-                ready = max(ready, writer.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(writer, epoch))
-            for reader in self._last_readers.get(buf_id, ()):
-                ready = max(ready, reader.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(reader, epoch))
+        deps = self._dependencies(reads, writes, wait_for)
+        ready, e2e_ready = self._ready(deps, timeline.host_pos_ns, epoch)
         engine = ENGINE_OF[command]
-        start = max(ready, self._engine_free.get(engine, 0.0))
-        end = start + ns
-        event.sched_start_ns = start
-        event.sched_end_ns = end
-        self._engine_free[engine] = end
-        self._sched_max_end = max(self._sched_max_end, end)
-        e2e_start = max(e2e_ready, self._e2e_engine_free.get(engine, 0.0))
-        e2e_end = e2e_start + ns
-        event.e2e_start_ns = e2e_start
-        event.e2e_end_ns = e2e_end
-        self._e2e_engine_free[engine] = e2e_end
-        self._e2e_max_end = max(self._e2e_max_end, e2e_end)
+        start, end = self._local.place(ready, engine, ns)
+        e2e_start, e2e_end = self._e2e.place(e2e_ready, engine, ns)
+        event.sched_start_ns, event.sched_end_ns = start, end
+        event.e2e_start_ns, event.e2e_end_ns = e2e_start, e2e_end
         timeline.place(TIMELINE_KIND_OF[event.category], e2e_start, e2e_end)
-
-        for buf_id in writes:
-            self._last_writer[buf_id] = event
-            self._last_readers[buf_id] = []
-        for buf_id in reads:
-            self._last_readers.setdefault(buf_id, []).append(event)
-
-        tracer = current_tracer()
-        if tracer.enabled:
-            overlap = self.overlap_ns
-            delta = overlap - self._overlap_reported
-            if delta > 0.0:
-                self._overlap_reported = overlap
-                tracer.count("queue.overlap_ns", delta)
-            tracer.struct_span(
-                command,
-                track=f"sched/queue-{self.id}/{engine}",
-                ts_ns=start,
-                dur_ns=ns,
-                category="sched",
-                args={
-                    "ready_ns": ready,
-                    "serial_start_ns": serial_start,
-                    "e2e_start_ns": e2e_start,
-                },
-            )
+        if self.out_of_order:
+            for buf_id in writes:
+                self._last_writer[buf_id] = event
+                self._last_readers[buf_id] = []
+            for buf_id in reads:
+                self._last_readers.setdefault(buf_id, []).append(event)
+            tracer = current_tracer()
+            if tracer.enabled:
+                overlap = self.overlap_ns
+                delta = overlap - self._overlap_reported
+                if delta > 0.0:
+                    self._overlap_reported = overlap
+                    tracer.count("queue.overlap_ns", delta)
+                tracer.struct_span(
+                    command,
+                    track=f"sched/queue-{self.id}/{engine}",
+                    ts_ns=start,
+                    dur_ns=ns,
+                    category="sched",
+                    args={
+                        "ready_ns": ready,
+                        "serial_start_ns": serial_start,
+                        "e2e_start_ns": e2e_start,
+                    },
+                )
 
     def _sync_schedule(self) -> None:
         """Fence the schedule: later commands start after everything
         scheduled so far (out-of-order ``finish``/barrier semantics)."""
-        self._fence_ns = max(self._fence_ns, self._sched_max_end)
-        self._e2e_fence = max(self._e2e_fence, self._e2e_max_end)
+        for axis in (self._local, self._e2e):
+            axis.fence = max(axis.fence, axis.max_end)
         self._last_writer.clear()
         self._last_readers.clear()
 
@@ -394,51 +401,23 @@ class CommandQueue:
         reads: Iterable[int] = (),
         writes: Iterable[int] = (),
         wait_for: Optional[Sequence[Event]] = None,
+        deferred: Optional[Event] = None,
         **span_args,
     ) -> Event:
-        """Price one command: schedule it, stamp an Event and charge the
-        context ledger/clock (the cost totals never depend on mode)."""
-        queued = self.context.clock.now_ns
-        start = self.device.schedule_ns(queued, ns)
-        event = Event(
-            command, category, queued, ns, submit_ns=queued, start_ns=start
-        )
-        self._schedule(event, command, ns, reads, writes, wait_for)
-        self.context.charge(
-            category,
-            ns,
-            name=command,
-            track=f"device/{self.device.name}",
-            ts_ns=start,
-            args=dict(
-                span_args,
-                queued_ns=queued,
-                queue_delay_ns=event.queue_delay_ns,
-            ),
-            placed=True,
-        )
-        return event
+        """Price one command: stamp its Event, schedule it and charge the
+        context ledger/clock (the cost totals never depend on mode).
 
-    def _stamp_and_charge(
-        self,
-        event: Event,
-        command: str,
-        category: str,
-        ns: float,
-        reads: Iterable[int] = (),
-        writes: Iterable[int] = (),
-        wait_for: Optional[Sequence[Event]] = None,
-        **span_args,
-    ) -> Event:
-        """Like :meth:`_record`, but for a pre-existing (deferred)
-        *event*: the command was enqueued earlier and is priced now, so
-        QUEUED keeps its original timestamp while SUBMIT is the flush
-        instant."""
-        submit = self.context.clock.now_ns
-        start = self.device.schedule_ns(submit, ns)
-        event.submit_ns = submit
-        event.start_ns = start
-        event.end_ns = start + ns
+        A *deferred* event — a kernel the fusion slot held back — is
+        stamped in place: QUEUED keeps its enqueue instant, SUBMIT is
+        now, the flush instant.
+        """
+        now = self.context.clock.now_ns
+        start = self.device.schedule_ns(now, ns)
+        if deferred is None:
+            event = Event(command, category, now, ns, start_ns=start)
+        else:
+            event = deferred
+            event.submit_ns, event.start_ns, event.end_ns = now, start, start + ns
         self._schedule(event, command, ns, reads, writes, wait_for)
         self.context.charge(
             category,
@@ -474,10 +453,11 @@ class CommandQueue:
         gsz: Sequence[int],
         lsz: Sequence[int],
         wait_for: Optional[Sequence[Event]],
+        deferred: Optional[Event] = None,
         **span_args,
     ) -> Event:
         """Execute, price and record one kernel launch (shared tail of
-        the normal, fused and flush dispatch paths)."""
+        the immediate, fused and flushed dispatch paths)."""
         ns = dispatch_kernel_ns(runner, self.device.spec, entries, gsz, lsz)
         self._mark_kernel_written(entries, writes)
         with self.context.ledger._lock:
@@ -489,6 +469,7 @@ class CommandQueue:
             reads=reads,
             writes=writes,
             wait_for=wait_for,
+            deferred=deferred,
             kernel=name,
             global_size=list(gsz),
             local_size=list(lsz),
@@ -496,12 +477,7 @@ class CommandQueue:
         )
 
     def _flush_if_pending(self, reason: str) -> None:
-        """Dispatch the deferred kernel, if any (no-op otherwise)."""
-        if self._pending is not None:
-            self._flush_pending(reason)
-
-    def _flush_pending(self, reason: str) -> Event:
-        """Dispatch the deferred kernel as an ordinary launch.
+        """Dispatch the deferred kernel, if any, as an ordinary launch.
 
         *reason* is the legality rule that rejected fusion or the
         command class that forced the flush; it lands on the tracer as
@@ -511,32 +487,30 @@ class CommandQueue:
         here through the host-observation hooks.
         """
         pend = self._pending
-        assert pend is not None
+        if pend is None:
+            return
         self._pending = None
         self.context._fusion_pending -= 1
         fusion.count_reject(reason)
-        ns = dispatch_kernel_ns(
+        self._launch(
+            pend.kernel.name,
             pend.kernel.runner(self.device),
-            self.device.spec,
             pend.entries,
+            pend.reads,
+            pend.writes,
             pend.gsz,
             pend.lsz,
-        )
-        self._mark_kernel_written(pend.entries, pend.writes)
-        with self.context.ledger._lock:
-            self.context.ledger.kernel_launches += 1
-        return self._stamp_and_charge(
-            pend.event,
-            NDRANGE_KERNEL,
-            "kernel",
-            ns,
-            reads=pend.reads,
-            writes=pend.writes,
-            kernel=pend.kernel.name,
+            None,
+            deferred=pend.event,
             flushed=reason,
-            global_size=list(pend.gsz),
-            local_size=list(pend.lsz),
         )
+
+    def _check_open(self) -> None:
+        """A released queue accepts no new commands."""
+        if self.released:
+            raise CLInvalidValue(
+                f"queue {self.id} on {self.device.name!r} was released"
+            )
 
     def _check_buffer(self, buf: Buffer) -> None:
         buf.check_alive()
@@ -552,6 +526,19 @@ class CommandQueue:
             raise CLDeviceLost(
                 f"device {self.device.name!r} was lost; no new work accepted"
             )
+
+    def _count_bytes(self, nbytes: int, to_device: bool) -> None:
+        """Add one transfer's bytes to the ledger and the trace counter."""
+        ledger = self.context.ledger
+        with ledger._lock:
+            if to_device:
+                ledger.bytes_to_device += nbytes
+            else:
+                ledger.bytes_from_device += nbytes
+        tracer = current_tracer()
+        if tracer.enabled:
+            direction = "to_device" if to_device else "from_device"
+            tracer.count(f"bytes.{direction}", nbytes)
 
     def _fault_gate(self, op: str, key: str, attempt_ns: float) -> None:
         """Give the installed fault plan its shot at one command
@@ -587,6 +574,7 @@ class CommandQueue:
         span is priced, no bytes are counted, and a zero-duration event
         records the elision (``dispatch.xfer_elim`` counters).
         """
+        self._check_open()
         self._check_buffer(buf)
         if len(host_data) != buf.n_elements:
             raise CLInvalidValue(
@@ -610,11 +598,7 @@ class CommandQueue:
         self._fault_gate("h2d", f"buf{buf.ordinal}", ns)
         buf.np_view()[:] = host_data
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
-        with self.context.ledger._lock:
-            self.context.ledger.bytes_to_device += buf.nbytes
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("bytes.to_device", buf.nbytes)
+        self._count_bytes(buf.nbytes, to_device=True)
         return self._record(
             WRITE_BUFFER, "h2d", ns,
             writes=(buf.id,), wait_for=wait_for, nbytes=buf.nbytes,
@@ -632,6 +616,7 @@ class CommandQueue:
         transfer-elimination marker: re-uploading the data unmodified
         collapses the d2h -> h2d round trip when fusion is enabled.
         """
+        self._check_open()
         self._check_buffer(buf)
         if len(host_out) != buf.n_elements:
             raise CLInvalidValue(
@@ -643,11 +628,7 @@ class CommandQueue:
         self._fault_gate("d2h", f"buf{buf.ordinal}", ns)
         host_out[:] = buf.np_view().tolist()
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
-        with self.context.ledger._lock:
-            self.context.ledger.bytes_from_device += buf.nbytes
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("bytes.from_device", buf.nbytes)
+        self._count_bytes(buf.nbytes, to_device=False)
         return self._record(
             READ_BUFFER, "d2h", ns,
             reads=(buf.id,), wait_for=wait_for, nbytes=buf.nbytes,
@@ -661,6 +642,7 @@ class CommandQueue:
     ) -> Event:
         """Device-to-device copy inside the context (no host link cost;
         charged at kernel-engine speed)."""
+        self._check_open()
         self._check_buffer(src)
         self._check_buffer(dst)
         self._flush_if_pending("sync")
@@ -720,86 +702,46 @@ class CommandQueue:
         """Launch *kernel* over the NDRange and price the dispatch.
 
         With the graph-level optimiser enabled
-        (``repro.configure(fusion=True)``) the dispatch may be held
-        pending and later executed fused with the next kernel on this
-        queue — see :mod:`repro.opencl.fusion` and :meth:`_flush_pending`.
-        With fusion off (the default) the path below is untouched, so
-        every priced figure stays byte-identical.
+        (``repro.configure(fusion=True)``) a dispatch without a wait
+        list is held pending (:mod:`repro.opencl.fusion`): the next
+        kernel on this queue either fuses with it into one composed
+        launch, stamping both events with the fused placement, or
+        flushes it and takes the pending slot itself.  Dispatches with
+        an explicit wait list execute immediately — deferring them would
+        complicate the event-dependency bookkeeping for no measured gain
+        on the paper's pipelines.  With fusion off (the default) nothing
+        is deferred, so every priced figure stays byte-identical.
         """
+        self._check_open()
         gsz, lsz = self.check_nd_range(global_size, local_size)
         self._check_device_writable()
-        if current_config().fusion:
-            return self._fusion_dispatch(kernel, gsz, lsz, wait_for)
-        self._flush_if_pending("disabled")
-        self._fault_gate(
-            "kernel",
-            f"{kernel.name}@{self.device.name}",
-            self.device.spec.kernel_launch_ns,
-        )
-        entries = kernel.bound_entries(self.context)
-        reads, writes = kernel.buffer_access(entries)
-        return self._launch(
-            kernel.name,
-            kernel.runner(self.device),
-            entries,
-            reads,
-            writes,
-            gsz,
-            lsz,
-            wait_for,
-        )
-
-    def _fusion_dispatch(
-        self,
-        kernel,
-        gsz: tuple[int, ...],
-        lsz: tuple[int, ...],
-        wait_for: Optional[Sequence[Event]],
-    ) -> Event:
-        """Kernel dispatch under the graph-level optimiser.
-
-        An incoming kernel first gets its chance to fuse with the
-        queue's pending dispatch; on success the pair executes as one
-        composed launch (both events stamped with the fused placement),
-        on rejection the pending kernel flushes and the incoming one
-        takes its place in the pending slot.  Dispatches carrying an
-        explicit wait list execute immediately — deferring them would
-        complicate the event-dependency bookkeeping for no measured
-        gain on the paper's pipelines.
-        """
+        fusing = current_config().fusion
+        if not fusing:
+            self._flush_if_pending("disabled")
         try:
             self._fault_gate(
                 "kernel",
                 f"{kernel.name}@{self.device.name}",
                 self.device.spec.kernel_launch_ns,
             )
-        except CLDeviceLost:
-            # The pending producer was accepted before the loss; execute
-            # it so buffer contents stay consistent for the failover
-            # path (reads drain on lost devices), then surface the loss.
-            self._flush_if_pending("device-lost")
-            raise
-        except CLError:
-            # A non-loss injected failure aborts only *this* dispatch.
-            # The pending producer was accepted (and fault-gated) at its
-            # own enqueue: flush it as an ordinary launch so its caller's
+        except CLError as exc:
+            # An injected failure aborts only *this* dispatch.  The
+            # pending producer was accepted (and fault-gated) at its own
+            # enqueue: flush it as an ordinary launch so its caller's
             # Event is stamped and priced exactly once — a caller that
-            # handles the fault and stops enqueuing must not strand it.
-            self._flush_if_pending("fault")
+            # handles the fault and stops enqueuing must not strand it —
+            # and, after a loss, so buffer contents stay consistent for
+            # the failover path (reads drain on lost devices).
+            lost = isinstance(exc, CLDeviceLost)
+            self._flush_if_pending("device-lost" if lost else "fault")
             raise
         entries = kernel.bound_entries(self.context)
         reads, writes = kernel.buffer_access(entries)
-        if wait_for:
+        if not fusing or wait_for:
             self._flush_if_pending("sync")
             return self._launch(
-                kernel.name,
-                kernel.runner(self.device),
-                entries,
-                reads,
-                writes,
-                gsz,
-                lsz,
-                wait_for,
+                kernel.name, kernel.runner(self.device),
+                entries, reads, writes, gsz, lsz, wait_for,
             )
         pend = self._pending
         if pend is not None:
@@ -811,35 +753,21 @@ class CommandQueue:
                 self.context._fusion_pending -= 1
                 fusion.count_fused()
                 event = self._launch(
-                    plan.name,
-                    plan.runner,
-                    plan.entries,
-                    plan.reads,
-                    plan.writes,
-                    gsz,
-                    lsz,
-                    None,
+                    plan.name, plan.runner, plan.entries, plan.reads,
+                    plan.writes, gsz, lsz, None,
                     fused=f"{pend.kernel.name}+{kernel.name}",
                 )
                 # The producer's event shares the fused placement: its
                 # work happened inside the composed launch.
-                produced = pend.event
                 for attr in (
-                    "submit_ns",
-                    "start_ns",
-                    "end_ns",
-                    "sched_start_ns",
-                    "sched_end_ns",
-                    "e2e_start_ns",
-                    "e2e_end_ns",
-                    "_e2e_epoch",
+                    "submit_ns", "start_ns", "end_ns",
+                    "sched_start_ns", "sched_end_ns",
+                    "e2e_start_ns", "e2e_end_ns", "_e2e_epoch",
                 ):
-                    setattr(produced, attr, getattr(event, attr))
+                    setattr(pend.event, attr, getattr(event, attr))
                 return event
-            self._flush_pending(plan)
-        event = Event(
-            NDRANGE_KERNEL, "kernel", self.context.clock.now_ns, 0.0
-        )
+            self._flush_if_pending(plan)
+        event = Event(NDRANGE_KERNEL, "kernel", self.context.clock.now_ns, 0.0)
         # Residency markers die at enqueue time, exactly as in the
         # unfused world where enqueue executes immediately — a sibling
         # queue of this context must never elide an upload against a
@@ -869,6 +797,7 @@ class CommandQueue:
         the dispatcher itself (before pricing), so this path only
         refuses lost devices.
         """
+        self._check_open()
         self._flush_if_pending("sync")
         self._check_device_writable()
         with self.context.ledger._lock:
@@ -894,6 +823,7 @@ class CommandQueue:
         inputs and returning their output share, while the data itself
         already lives in the context's (single-copy) buffer.
         """
+        self._check_open()
         self._check_buffer(buf)
         self._flush_if_pending("sync")
         to_device = category == "h2d"
@@ -901,17 +831,7 @@ class CommandQueue:
             self._check_device_writable()
         ns = self.device.spec.transfer_ns(nbytes, to_device=to_device)
         self._fault_gate(category, f"buf{buf.ordinal}", ns)
-        with self.context.ledger._lock:
-            if to_device:
-                self.context.ledger.bytes_to_device += nbytes
-            else:
-                self.context.ledger.bytes_from_device += nbytes
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count(
-                "bytes.to_device" if to_device else "bytes.from_device",
-                nbytes,
-            )
+        self._count_bytes(nbytes, to_device)
         command = WRITE_BUFFER if to_device else READ_BUFFER
         access = {"writes": (buf.id,)} if to_device else {"reads": (buf.id,)}
         return self._record(
@@ -943,31 +863,18 @@ class CommandQueue:
         wait_for: Optional[Sequence[Event]],
         fence: bool,
     ) -> Event:
+        self._check_open()
         self._flush_if_pending("sync")
         timeline = self.context.clock.timeline
-        epoch = timeline.epoch
-        self._e2e_anchor(epoch)
-        queued = self.context.clock.now_ns
-        event = Event(command, "kernel", queued, 0.0)
+        epoch = self._e2e_anchor(timeline)
+        event = Event(command, "kernel", self.context.clock.now_ns, 0.0)
         event._e2e_epoch = epoch
-        if wait_for:
-            at = max((dep.sched_end_ns for dep in wait_for), default=0.0)
-            e2e_at = max(
-                (self._e2e_end_of(dep, epoch) for dep in wait_for),
-                default=0.0,
-            )
-        else:
-            at = self._sched_max_end
-            e2e_at = self._e2e_max_end
-        at = max(at, self._fence_ns)
-        e2e_at = max(e2e_at, self._e2e_fence, timeline.host_pos_ns)
-        event.sched_start_ns = at
-        event.sched_end_ns = at
-        event.e2e_start_ns = e2e_at
-        event.e2e_end_ns = e2e_at
+        at, e2e_at = self._ready(wait_for or None, timeline.host_pos_ns, epoch)
+        event.sched_start_ns = event.sched_end_ns = at
+        event.e2e_start_ns = event.e2e_end_ns = e2e_at
         if fence and self.out_of_order:
-            self._fence_ns = max(self._fence_ns, at)
-            self._e2e_fence = max(self._e2e_fence, e2e_at)
+            self._local.fence = max(self._local.fence, at)
+            self._e2e.fence = max(self._e2e.fence, e2e_at)
             if wait_for is None:
                 self._sync_schedule()
         return event
@@ -987,9 +894,7 @@ class CommandQueue:
         on *any* queue of the clock — start no earlier.
         """
         self._flush_if_pending("sync")
-        timeline = self.context.clock.timeline
-        if self._e2e_epoch == timeline.epoch:
-            timeline.host_wait(self._e2e_max_end)
+        self.context.clock.timeline.host_wait(self.e2e_makespan_ns)
         if self.out_of_order:
             self._sync_schedule()
 
@@ -999,7 +904,8 @@ class CommandQueue:
         self._flush_if_pending("sync")
 
     def release(self) -> None:
-        """Detach the queue from its context (commands stay priced)."""
+        """Detach the queue from its context (commands stay priced);
+        later enqueues raise :class:`~repro.errors.CLInvalidValue`."""
         self._flush_if_pending("sync")
         self.released = True
         try:

@@ -240,6 +240,10 @@ class ManagedArray:
             tracer = current_tracer()
             if tracer.enabled:
                 tracer.count("residency.readback")
+            if self._queue.released:
+                # The device matrix replaced the queue (an out-of-order
+                # switch); the buffer's context holds its successor.
+                self._queue = self._buffer.context.queue_for(self._queue.device)
             self._queue.enqueue_read_buffer(self._buffer, self._flat)
             self._host_valid = True
 

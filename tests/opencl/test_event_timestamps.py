@@ -11,9 +11,17 @@ import weakref
 import pytest
 
 from repro.errors import CLInvalidValue
-from repro.opencl import Buffer, CommandQueue, Context
+from repro.opencl import Buffer, CommandQueue, Context, Program
 from repro.opencl.costmodel import SimClock, gpu_spec
 from repro.opencl.platform import Device
+
+
+SCALE = """
+__kernel void scale2(__global float *a) {
+    int i = get_global_id(0);
+    a[i] = a[i] * 2.0;
+}
+"""
 
 
 def make_device():
@@ -136,3 +144,25 @@ class TestEventLifetime:
         ]
         gc.collect()
         assert [ref for ref in refs if ref() is not None] == []
+
+        # Reads, kernels and copies on the in-order queue, and every
+        # command class on an out-of-order queue once finish() fenced
+        # its hazard tables.
+        kernel = Program(ctx, SCALE).build().create_kernel("scale2")
+        kernel.set_arg(0, buf)
+        other = Buffer(ctx, 8)
+        commands = {
+            "write": lambda q: q.enqueue_write_buffer(buf, [1.0] * 8),
+            "read": lambda q: q.enqueue_read_buffer(buf, [0.0] * 8),
+            "kernel": lambda q: q.enqueue_nd_range_kernel(kernel, [8]),
+            "copy": lambda q: q.enqueue_copy_buffer(buf, other),
+        }
+        ooo = CommandQueue(ctx, device, out_of_order=True)
+        for q in (queue, ooo):
+            for name, command in commands.items():
+                refs = [weakref.ref(command(q)) for _ in range(100)]
+                if q.out_of_order:
+                    q.finish()
+                gc.collect()
+                alive = [ref for ref in refs if ref() is not None]
+                assert alive == [], (q.out_of_order, name)

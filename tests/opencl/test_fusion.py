@@ -17,8 +17,9 @@ from repro import configure
 from repro import opencl as cl
 from repro.apps.docrank import runners as docrank
 from repro.apps.lud import runners as lud
-from repro.errors import CLDeviceLost
+from repro.errors import CLDeviceLost, CLInvalidValue
 from repro.opencl import dispatch
+from repro.opencl.costmodel import SimClock
 from repro.opencl.faults import DEVICE_LOST, FaultPlan, FaultSpec
 from repro.runtime.residency import ManagedArray
 from repro.trace import tracing
@@ -200,6 +201,61 @@ class TestEqualRangeFusion:
             ev_b = queue.enqueue_nd_range_kernel(k_b, [n])
             assert ev_a.start_ns == ev_b.start_ns
             assert ev_a.end_ns == ev_b.end_ns
+
+
+class TestFlushedEvent:
+    def _producer_event(self, fusion):
+        """Enqueue scale2, charge one API call, then read its output
+        (the flush point under fusion); returns the kernel's event and
+        the clock at its enqueue and after the API call."""
+        n = 64
+        cl.reset_platforms()
+        device = cl.find_device("GPU")
+        context = cl.Context([device], clock=SimClock())
+        queue = cl.CommandQueue(context, device)
+        with configure(fusion=fusion):
+            k_a = make_kernel(context, PRODUCER, "scale2")
+            buf_a, buf_b = cl.Buffer(context, n), cl.Buffer(context, n)
+            queue.enqueue_write_buffer(buf_a, [1.0] * n)
+            k_a.set_arg(0, buf_a)
+            k_a.set_arg(1, buf_b)
+            enqueued = context.clock.now_ns
+            event = queue.enqueue_nd_range_kernel(k_a, [n])
+            context.charge_api_call()
+            flushed = context.clock.now_ns
+            out = [0.0] * n
+            queue.enqueue_read_buffer(buf_b, out)
+        assert out == [2.0] * n
+        return event, enqueued, flushed
+
+    def test_flush_stamps_the_deferred_event(self):
+        self._producer_event(fusion=False)  # compile once for both runs
+        plain, _, _ = self._producer_event(fusion=False)
+        event, enqueued, flushed = self._producer_event(fusion=True)
+        assert flushed > enqueued
+        assert event.queued_ns == enqueued
+        assert event.submit_ns == flushed
+        assert event.end_ns - event.start_ns == plain.duration_ns
+        for placement in (
+            "sched_start_ns", "sched_end_ns", "e2e_start_ns", "e2e_end_ns",
+        ):
+            assert getattr(event, placement) == getattr(plain, placement)
+
+    def test_released_queue_defers_nothing(self):
+        n = 16
+        _, context, queue = gpu_context()
+        with configure(fusion=True):
+            k_a = make_kernel(context, PRODUCER, "scale2")
+            buf_a, buf_b = cl.Buffer(context, n), cl.Buffer(context, n)
+            queue.enqueue_write_buffer(buf_a, [3.0] * n)
+            k_a.set_arg(0, buf_a)
+            k_a.set_arg(1, buf_b)
+            queue.release()
+            with pytest.raises(CLInvalidValue, match=f"queue {queue.id} "):
+                queue.enqueue_nd_range_kernel(k_a, [n])
+            assert context._fusion_pending == 0
+            assert context.ledger.kernel_launches == 0
+            assert buf_b.data == [0.0] * n
 
 
 class TestPrologueFusion:

@@ -22,6 +22,7 @@ from repro.opencl import (
     scaled_platform,
     set_platforms,
 )
+from repro.opencl.costmodel import SimClock
 
 SQUARE = """
 __kernel void square(__global float *a, __global float *out, int n) {
@@ -165,6 +166,52 @@ class TestQueues:
         buf = Buffer(ctx, 8, "int")
         queue.enqueue_write_buffer(buf, list(range(8)))
         assert ctx.ledger.bytes_to_device == 32
+
+
+#: Every enqueue entry point, called with (queue, kernel, src, dst).
+ENQUEUES = {
+    "write": lambda q, k, a, b: q.enqueue_write_buffer(a, [1.0] * 4),
+    "read": lambda q, k, a, b: q.enqueue_read_buffer(a, [0.0] * 4),
+    "copy": lambda q, k, a, b: q.enqueue_copy_buffer(a, b),
+    "ndrange": lambda q, k, a, b: q.enqueue_nd_range_kernel(k, [4]),
+    "priced-kernel": lambda q, k, a, b: q.enqueue_priced_kernel(
+        "square", 100.0, reads=(a.id,), writes=(b.id,)
+    ),
+    "priced-transfer": lambda q, k, a, b: q.enqueue_priced_transfer(
+        "h2d", a, a.nbytes
+    ),
+    "marker": lambda q, k, a, b: q.enqueue_marker(),
+    "barrier": lambda q, k, a, b: q.enqueue_barrier(),
+}
+
+
+class TestReleasedQueue:
+    @pytest.mark.parametrize("entry", sorted(ENQUEUES))
+    def test_enqueue_is_refused_and_charges_nothing(self, entry):
+        device = find_device("GPU")
+        ctx = Context([device], clock=SimClock())
+        queue = CommandQueue(ctx, device)
+        kernel = Program(ctx, SQUARE).build().create_kernel("square")
+        src, dst = Buffer(ctx, 4), Buffer(ctx, 4)
+        queue.enqueue_write_buffer(src, [1.0, 2.0, 3.0, 4.0])
+        kernel.set_arg(0, src)
+        kernel.set_arg(1, dst)
+        kernel.set_arg(2, 4)
+        queue.release()
+        ledger = ctx.ledger
+
+        def priced():
+            return (
+                ledger.breakdown(), ledger.kernel_launches,
+                ledger.bytes_to_device, ledger.bytes_from_device,
+                ctx.clock.now_ns, device.busy_until_ns,
+            )
+
+        before = priced()
+        with pytest.raises(CLInvalidValue, match=f"queue {queue.id} "):
+            ENQUEUES[entry](queue, kernel, src, dst)
+        assert priced() == before
+        assert dst.data == [0.0] * 4
 
 
 class TestProgramsAndKernels:

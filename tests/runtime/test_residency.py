@@ -3,9 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import configure
 from repro.errors import RuntimeFault
-from repro.opencl import Buffer, CommandQueue, Context, find_device
+from repro.opencl import (
+    Buffer,
+    CommandQueue,
+    Context,
+    Program,
+    find_device,
+    reset_platforms,
+)
 from repro.runtime import ManagedArray
+from repro.runtime.oclenv import get_environment, reset_device_matrix
 
 
 @pytest.fixture()
@@ -16,10 +25,27 @@ def gpu_queue():
 
 
 @pytest.fixture()
+def fresh_matrix():
+    reset_platforms()
+    reset_device_matrix()
+    yield
+    reset_device_matrix()
+    reset_platforms()
+
+
+@pytest.fixture()
 def cpu_queue():
     device = find_device("CPU")
     ctx = Context([device])
     return CommandQueue(ctx, device)
+
+
+BUMP = """
+__kernel void bump(__global float *a) {
+    int i = get_global_id(0);
+    a[i] = a[i] + 1.0;
+}
+"""
 
 
 class TestShapes:
@@ -105,6 +131,22 @@ class TestResidency:
         assert cpu_buf.data[0] == 9.0
         assert gpu_queue.context.ledger.bytes_from_device == 8
         assert cpu_queue.context.ledger.bytes_to_device == 8
+
+    def test_read_back_after_a_mode_switch(self, fresh_matrix):
+        """An out-of-order switch releases the device's queue; a device
+        copy recorded on it reads back through its successor."""
+        env = get_environment("GPU")
+        old_queue = env.queue
+        kernel = Program(env.context, BUMP).build().create_kernel("bump")
+        array = ManagedArray([1.0, 2.0, 3.0, 4.0], (4,))
+        kernel.set_arg(0, array.to_device(old_queue))
+        old_queue.enqueue_nd_range_kernel(kernel, [4])
+        array.mark_device_written()
+        with configure(out_of_order=True):
+            new_queue = get_environment("GPU").queue
+        assert old_queue.released and new_queue is not old_queue
+        assert array.host() == [2.0, 3.0, 4.0, 5.0]
+        assert env.context.ledger.bytes_from_device == 16
 
     def test_mark_written_requires_device_copy(self):
         array = ManagedArray([1.0], (1,))
