@@ -316,13 +316,14 @@ class Stage:
         return True
 
     def join(self, timeout: float = DEFAULT_JOIN_TIMEOUT) -> None:
-        """Wait for every actor to stop; re-raise the first actor error."""
-        deadline = timeout
+        """Wait at most *timeout* seconds in all for every actor to stop;
+        re-raise the first actor error."""
+        deadline = time.monotonic() + timeout
         for actor in self.actors:
             thread = self._threads.get(actor.actor_id)
             if thread is None:
                 continue
-            thread.join(deadline)
+            thread.join(max(0.0, deadline - time.monotonic()))
             if thread.is_alive():
                 raise ActorError(
                     f"stage {self.name!r}: actor {actor.name} did not stop "

@@ -57,15 +57,15 @@ class Code:
 
 @dataclass
 class ParamSpec:
-    """How to build one kernel argument from the received data value.
+    """How to build one kernel argument from the received data value:
+    from struct field *fname* when the plan's data is a struct, else
+    from the data value itself (a bare array).
 
     kind:
-      'array_field'  — ManagedArray struct field -> device buffer
-      'dim_field'    — int: shape[axis] of a struct field (flattening)
-      'scalar_field' — scalar struct field, passed as a 1-element array
-                       (paper Section 6.1.2) and written back after
-      'array_self'   — the data value itself is the array
-      'dim_self'     — int: shape[axis] of the data array
+      'array'  — ManagedArray -> device buffer
+      'dim'    — int: shape[axis] of the array (flattening)
+      'scalar' — scalar struct field, passed as a 1-element array
+                 (paper Section 6.1.2) and written back after
     """
 
     kind: str
@@ -90,7 +90,6 @@ class KernelPlan:
     params: list[ParamSpec]
     worksize_field: str
     groupsize_field: str
-    out_field: str
     in_movable: bool
 
 

@@ -419,7 +419,6 @@ class ProgramCompiler:
             params=params,
             worksize_field=sinfo.worksize_field,
             groupsize_field=sinfo.groupsize_field,
-            out_field=sinfo.out_field,
             in_movable=sinfo.in_movable,
         )
 

@@ -86,40 +86,29 @@ class KernelGenerator:
             for fname, ftype in info.fields:
                 self._add_field_params(fname, ftype)
         elif isinstance(self.data_type, ArrT):
-            self._add_field_params("data", self.data_type, self_array=True)
+            self._add_field_params("data", self.data_type)
             self.fields[""] = self.data_type
         else:
             raise TypeCheckError(
                 f"opencl data must be a struct or array, got {self.data_type}"
             )
 
-    def _add_field_params(
-        self, fname: str, ftype: EType, self_array: bool = False
-    ) -> None:
+    def _add_field_params(self, fname: str, ftype: EType) -> None:
         self.fields[fname] = ftype
         if isinstance(ftype, ArrT):
             elem = _scalar_kir(ftype.scalar)
             self.kir_params.append(
                 kir.Param(fname, kir.ArrayType(elem, kir.GLOBAL))
             )
+            dtype = _DTYPE[str(ftype.scalar)]
             self.params.append(
-                ParamSpec(
-                    "array_self" if self_array else "array_field",
-                    fname,
-                    fname=fname,
-                    dtype=_DTYPE[str(ftype.scalar)],
-                )
+                ParamSpec("array", fname, fname=fname, dtype=dtype)
             )
             for axis in range(1, ftype.ndim):
                 dim_name = f"{fname}__dim{axis}"
                 self.kir_params.append(kir.Param(dim_name, kir.INT_T))
                 self.params.append(
-                    ParamSpec(
-                        "dim_self" if self_array else "dim_field",
-                        dim_name,
-                        fname=fname,
-                        axis=axis,
-                    )
+                    ParamSpec("dim", dim_name, fname=fname, axis=axis)
                 )
         else:
             elem = _scalar_kir(ftype)
@@ -127,13 +116,9 @@ class KernelGenerator:
             self.kir_params.append(
                 kir.Param(fname, kir.ArrayType(elem, kir.GLOBAL))
             )
+            dtype = _DTYPE[str(ftype)]
             self.params.append(
-                ParamSpec(
-                    "scalar_field",
-                    fname,
-                    fname=fname,
-                    dtype=_DTYPE[str(ftype)],
-                )
+                ParamSpec("scalar", fname, fname=fname, dtype=dtype)
             )
 
     # ------------------------------------------------------------------

@@ -223,8 +223,8 @@ class Checker:
                 struct.line,
             )
         info.worksize_field, info.groupsize_field = int_arrays
-        info.in_field = ins[0][0]
-        info.out_field = outs[0][0]
+        info.input_field = ins[0][0]
+        info.output_field = outs[0][0]
         info.in_movable = ins[0][1].movable
 
     def _resolve_interfaces(self) -> None:
@@ -355,11 +355,11 @@ class Checker:
             and isinstance(second.channel, ast.FieldAccess)
             and isinstance(second.channel.obj, ast.Name)
             and second.channel.obj.id == first.name
-            and second.channel.field == sinfo.in_field
+            and second.channel.field == sinfo.input_field
         ):
             raise TypeCheckError(
                 f"opencl actor {actor.name!r}: the second statement must "
-                f"receive the data from {first.name}.{sinfo.in_field}",
+                f"receive the data from {first.name}.{sinfo.input_field}",
                 getattr(second, "line", actor.line),
             )
         if not (
@@ -367,11 +367,11 @@ class Checker:
             and isinstance(last.channel, ast.FieldAccess)
             and isinstance(last.channel.obj, ast.Name)
             and last.channel.obj.id == first.name
-            and last.channel.field == sinfo.out_field
+            and last.channel.field == sinfo.output_field
         ):
             raise TypeCheckError(
                 f"opencl actor {actor.name!r}: the last statement must "
-                f"send on {first.name}.{sinfo.out_field}",
+                f"send on {first.name}.{sinfo.output_field}",
                 getattr(last, "line", actor.line),
             )
         # Type the prologue / kernel region / epilogue.

@@ -100,8 +100,8 @@ class StructInfo:
     # For opencl structs: resolved roles.
     worksize_field: str = ""
     groupsize_field: str = ""
-    in_field: str = ""
-    out_field: str = ""
+    input_field: str = ""
+    output_field: str = ""
     in_movable: bool = False
 
     def field_type(self, fname: str) -> EType:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..config import current_config
-from ..errors import CLInvalidDevice, RuntimeFault
+from ..errors import CLInvalidDevice
 from ..opencl import (
     CommandQueue,
     Context,
@@ -38,15 +38,9 @@ DEFAULT_DEVICE_TYPE = "GPU"
 class OpenCLEnvironment:
     """Runtime metadata attached to each OpenCL actor (Section 6.2.2)."""
 
-    platform_index: int
-    device_index: int
     device: Device
     context: Context
     queue: CommandQueue
-
-    @property
-    def device_type(self) -> str:
-        return self.device.device_type
 
 
 class DeviceMatrix:
@@ -90,17 +84,12 @@ class DeviceMatrix:
                     f"device index {device_index} out of range for "
                     f"{wanted} devices on {platform.name!r}"
                 )
-            device = devices[device_index]
             return self._env_locked(
-                platform_index, device_index, platform, device
+                platform_index, platform, devices[device_index]
             )
 
     def _env_locked(
-        self,
-        platform_index: int,
-        device_index: int,
-        platform: Platform,
-        device: Device,
+        self, platform_index: int, platform: Platform, device: Device
     ) -> OpenCLEnvironment:
         """Find or create *device*'s environment (``self._lock`` held)."""
         key = (platform_index, device.id)
@@ -109,9 +98,7 @@ class DeviceMatrix:
         if env is None:
             context = Context([device], platform)
             queue = CommandQueue(context, device, out_of_order=out_of_order)
-            env = OpenCLEnvironment(
-                platform_index, device_index, device, context, queue
-            )
+            env = OpenCLEnvironment(device, context, queue)
             self._envs[key] = env
         elif env.queue.out_of_order != out_of_order:
             env.queue.release()
@@ -123,12 +110,12 @@ class DeviceMatrix:
     def failover_environment(self, failed: Device) -> OpenCLEnvironment:
         """An environment on a surviving device after *failed* was lost.
 
-        Kernel actors call this when a dispatch raises
-        :class:`~repro.errors.CLDeviceLost`: the actor re-targets its
-        program and buffers at the returned environment and re-issues
-        the request (see docs/RELIABILITY.md).  Prefers a surviving
-        device of the same type; otherwise takes any available device.
-        Raises :class:`CLInvalidDevice` when nothing survived.
+        :class:`~repro.actors.kernel_actor.KernelTarget` calls this when
+        a dispatch raises :class:`~repro.errors.CLDeviceLost`: it
+        re-targets its program and buffers at the returned environment
+        and re-issues the request (see docs/RELIABILITY.md).  Prefers a
+        surviving device of the same type; otherwise takes any available
+        device.  Raises :class:`CLInvalidDevice` when nothing survived.
         """
         with self._lock:
             platforms = self._ensure_platforms()
@@ -146,24 +133,7 @@ class DeviceMatrix:
                     f"no surviving device to fail over to from "
                     f"{failed.name!r}"
                 )
-            p_index, platform, device = candidates[0]
-            peers = [
-                d for d in platform.devices
-                if d.device_type == device.device_type
-            ]
-            return self._env_locked(
-                p_index, peers.index(device), platform, device
-            )
-
-    def acquire_queue(self, device: Device) -> CommandQueue:
-        """The one queue for *device*; creating a second is refused."""
-        with self._lock:
-            for env in self._envs.values():
-                if env.device is device:
-                    return env.queue
-        raise RuntimeFault(
-            f"device {device.name!r} has no runtime environment yet"
-        )
+            return self._env_locked(*candidates[0])
 
     def environments(self) -> list[OpenCLEnvironment]:
         with self._lock:
@@ -214,7 +184,8 @@ def get_environment(
     device_index: int = 0,
     platform_index: int = 0,
 ) -> OpenCLEnvironment:
-    """Convenience accessor used by kernel actors and VM natives."""
+    """The declared device's environment, as a
+    :class:`~repro.actors.kernel_actor.KernelTarget` resolves it."""
     return _matrix.environment(device_type, device_index, platform_index)
 
 

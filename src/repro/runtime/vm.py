@@ -6,6 +6,14 @@ thread per actor interpreting that actor's behaviour bytecode in a loop
 ``invokenative``-style operations for printing, math, and the OpenCL
 wrappers (Section 6.2.2).
 
+An ``opencl`` actor's ``DISPATCH`` flattens the received data value into
+a ``{parameter: value}`` dict (scalar fields as one-element carriers)
+and binds, launches and fails over through the same
+:class:`~repro.actors.kernel_actor.KernelTarget` as the Pythonic
+:class:`~repro.actors.kernel_actor.KernelActor`; around it the VM keeps
+its own ``vm`` fault gate, ``vm.dispatch_setup`` charge and scalar
+write-back.
+
 Every executed bytecode charges ``BYTECODE_NS`` of simulated host time —
 this is the paper's interpreter overhead, visible as the larger
 "overhead" segment of the Ensemble bars in Figure 3.
@@ -16,10 +24,11 @@ from __future__ import annotations
 import math
 import random
 import threading
+from contextlib import nullcontext
 from typing import Any, Optional
 
 from ..config import current_config
-from ..errors import ChannelClosed, CLDeviceLost, RuntimeFault, VMError
+from ..errors import VMError
 from ..ensemble.bytecode import (
     Code,
     CompiledActor,
@@ -30,12 +39,11 @@ from ..kir.interp import c_idiv, c_imod
 from ..opencl import CostLedger
 from ..opencl import faults
 from ..opencl.context import current_clock
-from ..opencl.program import Program
 from ..trace import current_tracer
 from ..actors.actor import Actor, Stage, StopBehaviour
 from ..actors.channel import InPort, OutPort, connect
-from .oclenv import device_matrix, get_environment
-from .mov import Movable, is_movable, mov
+from ..actors.kernel_actor import KernelTarget
+from .mov import is_movable, mov
 from .residency import ManagedArray
 from .values import StructValue, index_value, length_of, store_value
 
@@ -115,8 +123,14 @@ class VMActor(Actor):
             # fault plans key hand-offs on `<ActorType>.<channel>`.
             port.stable_key = f"{compiled.name}.{cname}"
             self.channels[cname] = port
-        self._program_cache: Optional[Program] = None
-        self._env_override = None
+        plan = compiled.kernel_plan
+        self.target = None if plan is None else KernelTarget(
+            plan.kernel_source,
+            plan.kernel_name,
+            plan.device_type,
+            plan.device_index,
+            plan.platform_index,
+        )
         self._chan_seq = 0
         vm.execute(self.compiled.state_init, [], actor=self)
         ctor = self.compiled.constructor
@@ -140,10 +154,11 @@ class VMActor(Actor):
             # actor received inside messages — the req structs of the
             # paper's pipelines.  :meth:`_close_ports` only covers the
             # presented interface, so close every port reachable from
-            # the live frame and actor state too; downstream receivers
-            # observe the closure and the shutdown cascades, exactly as
-            # KernelActor closes ``request.output`` on a failed
-            # dispatch.
+            # the live frame and actor state too (for an OpenCL actor,
+            # the request's reply port after a failed DISPATCH);
+            # downstream receivers observe the closure and the shutdown
+            # cascades, exactly as KernelActor closes
+            # ``request.output`` on a failed dispatch.
             _close_reachable_ports(frame)
             _close_reachable_ports(list(self.state.values()))
             raise
@@ -410,19 +425,7 @@ class EnsembleVM:
                     stack.append(self._native(name, values, actor))
                 elif op == "DISPATCH":
                     assert actor is not None
-                    plan = actor.compiled.kernel_plan
-                    assert plan is not None
-                    try:
-                        self._dispatch_kernel(actor, plan, frame)
-                    except Exception:
-                        # A failed dispatch must not leave the receiver
-                        # of the reply channel blocked forever.
-                        request = frame[plan.req_slot]
-                        if isinstance(request, StructValue):
-                            out_port = request.fields.get(plan.out_field)
-                            if isinstance(out_port, OutPort):
-                                out_port.close()
-                        raise
+                    self._dispatch_kernel(actor, frame)
                 elif op == "POP":
                     stack.pop()
                 elif op == "STOP":
@@ -514,8 +517,8 @@ class EnsembleVM:
             for i in range(len(flat)):
                 value = (i * mul + inc) % mod + off
                 flat[i] = float(value) / divisor if is_real else value
-            self.charge(FILL_NS * len(flat), "vm.native_fill",
-                        args={"elements": len(flat)})
+            self.charge(FILL_NS * len(flat), "vm.native_fill", actor,
+                        {"elements": len(flat)})
             return None
         if name == "fillPattern2D":
             arr, rm, cm, inc, mod, off, divisor = args
@@ -529,8 +532,8 @@ class EnsembleVM:
                     flat[base + j] = (
                         float(value) / divisor if is_real else value
                     )
-            self.charge(FILL_NS * len(flat), "vm.native_fill",
-                        args={"elements": len(flat)})
+            self.charge(FILL_NS * len(flat), "vm.native_fill", actor,
+                        {"elements": len(flat)})
             return None
         if name == "fillPatternCond2D":
             arr, rm, cm, mod, rm2, cm2, mod2, off2 = args
@@ -543,16 +546,16 @@ class EnsembleVM:
                         flat[base + j] = (i * rm2 + j * cm2) % mod2 + off2
                     else:
                         flat[base + j] = 0
-            self.charge(FILL_NS * len(flat), "vm.native_fill",
-                        args={"elements": len(flat)})
+            self.charge(FILL_NS * len(flat), "vm.native_fill", actor,
+                        {"elements": len(flat)})
             return None
         if name == "minElement":
             array = args[0]
             if not isinstance(array, ManagedArray):
                 raise VMError("minElement expects an array")
             flat = array.host()
-            self.charge(FILL_NS * len(flat), "vm.native_fill",
-                        args={"elements": len(flat)})
+            self.charge(FILL_NS * len(flat), "vm.native_fill", actor,
+                        {"elements": len(flat)})
             return min(flat)
         if name == "checksumWeighted":
             # Verification apparatus (not part of the paper's apps): a
@@ -564,8 +567,8 @@ class EnsembleVM:
             total = 0.0
             for i, value in enumerate(flat):
                 total += (i % 97 + 1) * value
-            self.charge(FILL_NS * len(flat), "vm.native_fill",
-                        args={"elements": len(flat)})
+            self.charge(FILL_NS * len(flat), "vm.native_fill", actor,
+                        {"elements": len(flat)})
             if array.dtype == "int":
                 return int(total)
             return total
@@ -588,149 +591,89 @@ class EnsembleVM:
 
     # -- OpenCL dispatch (the invokenative wrappers) ---------------------
 
-    def _dispatch_kernel(
-        self, actor: VMActor, plan: KernelPlan, frame: list
-    ) -> None:
+    def _dispatch_kernel(self, actor: VMActor, frame: list) -> None:
+        """Run *actor*'s kernel on the received data through the actor's
+        :class:`KernelTarget` (which re-issues once after a device
+        loss), then write the scalar fields back."""
+        plan = actor.compiled.kernel_plan
+        request = frame[plan.req_slot]
+        data = frame[plan.data_slot]
+        if not isinstance(request, StructValue):
+            raise VMError("kernel request is not a struct")
+        target = actor.target
+
+        def attempt() -> None:
+            env = target.env
+            # The VM dispatch wrapper itself is a fault site: one aborted
+            # wrapper call (api_call_ns) per failed attempt.
+            self._fault_gate(
+                "vm",
+                plan.kernel_name,
+                env.device.spec.api_call_ns,
+                "fault.vm.dispatch",
+                actor,
+                device=env.device,
+            )
+            args, carriers = _kernel_args(plan, data)
+            kernel, arrays = target.bind(args)
+            worksize = self._int_list(request.get(plan.worksize_field))
+            groupsize = self._int_list(request.get(plan.groupsize_field))
+            # Host-side wrapper overhead for the automated setup calls,
+            # priced between binding and launch: its place on the
+            # composed timeline sets the dispatch's elapsed time.
+            env.context.charge(
+                "host",
+                env.device.spec.api_call_ns * (1 + len(plan.params)),
+                name="vm.dispatch_setup",
+                args={"kernel": plan.kernel_name, "params": len(plan.params)},
+            )
+            target.launch(kernel, arrays, worksize, groupsize)
+            # Primitives are always read back (they are 1-element arrays).
+            for fname, carrier in carriers:
+                data.set(fname, carrier[0])
+            if not plan.in_movable:
+                # Without mov the compiler generates the read-back code.
+                for pspec in plan.params:
+                    if pspec.kind == "array":
+                        arrays[pspec.name].sync_host()
+
         tracer = current_tracer()
+        span = nullcontext()
         if tracer.enabled:
-            with tracer.span(
+            span = tracer.span(
                 f"vm.dispatch:{plan.kernel_name}",
                 track=self._track(actor),
                 category="vm",
                 kernel=plan.kernel_name,
                 device_type=plan.device_type,
-            ):
-                self._dispatch_with_failover(actor, plan, frame)
-        else:
-            self._dispatch_with_failover(actor, plan, frame)
-
-    def _dispatch_with_failover(
-        self, actor: VMActor, plan: KernelPlan, frame: list
-    ) -> None:
-        try:
-            self._dispatch_kernel_inner(actor, plan, frame)
-        except CLDeviceLost:
-            # The VM-driven kernel actor's device dropped off the bus
-            # (injected on the `vm` site or any substrate gate inside
-            # the dispatch): re-target a survivor and re-issue, exactly
-            # as the runtime KernelActor does.  Managed arrays carry
-            # their own residency, so inputs re-upload from the host
-            # copy on the new context.
-            self._vm_failover(actor, plan)
-            self._dispatch_kernel_inner(actor, plan, frame)
-
-    def _vm_failover(self, actor: VMActor, plan: KernelPlan) -> None:
-        env = actor._env_override
-        if env is None:
-            env = get_environment(
-                plan.device_type, plan.device_index, plan.platform_index
             )
-        actor._env_override = device_matrix().failover_environment(
-            env.device
-        )
-        actor._program_cache = None
-        faults.count_failover()
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("actor.failover")
-
-    def _dispatch_kernel_inner(
-        self, actor: VMActor, plan: KernelPlan, frame: list
-    ) -> None:
-        request = frame[plan.req_slot]
-        data = frame[plan.data_slot]
-        if not isinstance(request, StructValue):
-            raise VMError("kernel request is not a struct")
-        env = actor._env_override
-        if env is None:
-            env = get_environment(
-                plan.device_type, plan.device_index, plan.platform_index
-            )
-        # The VM dispatch wrapper itself is a fault site: one aborted
-        # wrapper call (api_call_ns) per failed attempt.
-        self._fault_gate(
-            "vm",
-            plan.kernel_name,
-            env.device.spec.api_call_ns,
-            "fault.vm.dispatch",
-            actor,
-            device=env.device,
-        )
-        if actor._program_cache is None:
-            # Each actor acquires once; actors sharing identical kernel
-            # source get the context's program, paying the full compile
-            # only on the first acquisition (binary-load charge after).
-            actor._program_cache = Program.shared(
-                env.context, plan.kernel_source, env.device
-            )
-        program = actor._program_cache
-        kernel = program.create_kernel(plan.kernel_name)
-        queue = env.queue
-        spec_ns = env.device.spec.api_call_ns
-
-        arrays: dict[str, ManagedArray] = {}
-        scalar_carriers: list[tuple[str, ManagedArray]] = []
-        for index, pspec in enumerate(plan.params):
-            if pspec.kind in ("array_field", "array_self"):
-                value = (
-                    data.get(pspec.fname)
-                    if pspec.kind == "array_field"
-                    else data
-                )
-                if not isinstance(value, ManagedArray):
-                    raise VMError(
-                        f"kernel argument {pspec.fname!r} is not an array"
-                    )
-                arrays[pspec.name] = value
-                copy_in = pspec.name in kernel.read_params
-                kernel.set_arg(index, value.to_device(queue, copy=copy_in))
-            elif pspec.kind in ("dim_field", "dim_self"):
-                source = (
-                    data.get(pspec.fname)
-                    if pspec.kind == "dim_field"
-                    else data
-                )
-                kernel.set_arg(index, source.shape[pspec.axis])
-            elif pspec.kind == "scalar_field":
-                value = data.get(pspec.fname)
-                carrier = ManagedArray([value], (1,), pspec.dtype)
-                scalar_carriers.append((pspec.name, pspec.fname, carrier))
-                kernel.set_arg(index, carrier.to_device(queue))
-            else:  # pragma: no cover - plan construction guards this
-                raise VMError(f"bad param spec kind {pspec.kind!r}")
-
-        worksize = self._int_list(request.get(plan.worksize_field))
-        groupsize = self._int_list(request.get(plan.groupsize_field))
-        if not groupsize or all(g == 0 for g in groupsize):
-            groupsize = None
-        # Host-side wrapper overhead for the automated setup calls.
-        env.context.charge(
-            "host",
-            spec_ns * (1 + len(plan.params)),
-            name="vm.dispatch_setup",
-            args={"kernel": plan.kernel_name, "params": len(plan.params)},
-        )
-        queue.enqueue_nd_range_kernel(kernel, worksize, groupsize)
-
-        for pname in kernel.written_params:
-            array = arrays.get(pname)
-            if array is not None:
-                array.mark_device_written()
-        # Primitives are always read back (they are 1-element arrays).
-        for pname, fname, carrier in scalar_carriers:
-            if pname in kernel.written_params:
-                carrier.mark_device_written()
-            data.set(fname, carrier[0])
-        if not plan.in_movable:
-            # Without mov the compiler generates the read-back code.
-            for array in arrays.values():
-                array.sync_host()
+        with span:
+            target.run(attempt)
 
     @staticmethod
     def _int_list(value: Any) -> list[int]:
         if isinstance(value, ManagedArray):
             return [int(v) for v in value.host()]
         raise VMError("worksize/groupsize must be integer arrays")
+
+
+def _kernel_args(plan: KernelPlan, data: Any) -> tuple[dict, list]:
+    """Flatten the received data value into the ``{parameter: value}``
+    dict :meth:`KernelTarget.bind` takes (paper Section 6.1.2): arrays
+    as they are, inner dimensions as ints and scalar fields as
+    one-element carriers, also returned as ``(field, carrier)`` pairs
+    for the write-back."""
+    args: dict[str, Any] = {}
+    carriers: list[tuple[str, ManagedArray]] = []
+    for pspec in plan.params:
+        value = data.get(pspec.fname) if plan.data_is_struct else data
+        if pspec.kind == "dim":
+            value = value.shape[pspec.axis]
+        elif pspec.kind == "scalar":
+            value = ManagedArray([value], (1,), pspec.dtype)
+            carriers.append((pspec.fname, value))
+        args[pspec.name] = value
+    return args, carriers
 
 
 def _binop(op: str, left: Any, right: Any) -> Any:

@@ -1,5 +1,7 @@
 """Actor lifecycle, stages and behaviour-loop semantics."""
 
+import time
+
 import pytest
 
 from repro.actors import Actor, InPort, OutPort, Stage, connect
@@ -119,6 +121,32 @@ class TestStageLifecycle:
         with pytest.raises(ActorError, match="did not stop"):
             stage.join(0.2)
         stage.stop_all()
+
+    def test_join_timeout_bounds_the_whole_wait(self):
+        class Slow(Actor):
+            def behaviour(self) -> None:
+                time.sleep(0.4)
+                self.stop()
+
+        class Forever(Actor):
+            input = InPort()
+
+            def behaviour(self) -> None:
+                self.input.receive()  # never connected; blocks
+
+        stage = Stage()
+        stage.spawn(Slow())
+        stage.spawn(Forever())
+        stage.start()
+        started = time.monotonic()
+        with pytest.raises(ActorError, match="within 0.5s"):
+            stage.join(0.5)
+        waited = time.monotonic() - started
+        stage.stop_all()
+        stage.join(5.0)
+        # One deadline for the stage, not 0.5 s more per actor (which
+        # would wait 0.4 s for Slow, then 0.5 s for Forever).
+        assert waited < 0.8
 
     def test_context_manager_runs_stage(self):
         with Stage() as stage:

@@ -59,13 +59,6 @@ class TestRunKernel:
         )
         assert result["out"].host() == [1.0] * n
 
-    def test_zero_groupsize_means_device_default(self):
-        # The paper's Listing 3 passes groupsize arrays of 0.
-        request = KernelRequest([16], [0])
-        assert request.effective_groupsize() is None
-        request = KernelRequest([16], [4])
-        assert request.effective_groupsize() == (4,)
-
     def test_missing_parameter_is_an_actor_error(self):
         with pytest.raises(ActorError, match="missing"):
             run_kernel(SQUARE, "square", {"a": [1.0]}, worksize=[1])

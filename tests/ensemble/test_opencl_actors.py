@@ -4,6 +4,7 @@ movability and device selection."""
 import pytest
 
 from repro import ensemble
+from repro.actors import run_kernel
 from repro.opencl import Context, Program, find_device, reset_platforms
 from repro.runtime.oclenv import device_matrix, reset_device_matrix
 from repro.runtime.vm import EnsembleVM
@@ -113,6 +114,39 @@ class TestDispatch:
         assert output == ["6.0", "6.0"]
         ledger = device_matrix().combined_ledger()
         assert ledger.bytes_from_device >= 8 * 4
+
+    @pytest.mark.parametrize("movable", [False, True])
+    def test_vm_and_run_kernel_agree_on_zero_groupsize(self, movable):
+        # Both front ends bind and launch through one KernelTarget: the
+        # VM's DISPATCH of the paper's Listing 3 groupsize of 0 and a
+        # run_kernel of the same kernel source on the same data must
+        # move, launch and price exactly the same device work.
+        output, vm = run_vm(
+            SCALE_PROGRAM.format(mov="mov " if movable else "", device="GPU")
+        )
+        vm_ledger = device_matrix().combined_ledger()
+        plan = vm.program.actors["Scale"].kernel_plan
+        reset_device_matrix()
+        reset_platforms()
+        result = run_kernel(
+            plan.kernel_source,
+            plan.kernel_name,
+            {"values": [3.0] * 8, "factor": [2.0]},
+            worksize=[8],
+            groupsize=[0],
+            movable=movable,
+        )
+        values = result["values"].host()
+        assert values == [6.0] * 8
+        assert output == [repr(values[0]), repr(values[7])]
+        ledger = device_matrix().combined_ledger()
+        for name in (
+            "bytes_to_device", "bytes_from_device", "h2d_ns", "d2h_ns",
+            "kernel_ns", "kernel_launches",
+        ):
+            assert getattr(ledger, name) == getattr(vm_ledger, name), name
+        assert ledger.bytes_to_device == 8 * 4 + 4
+        assert ledger.kernel_launches == 1
 
 
 class TestKernelExtraction:

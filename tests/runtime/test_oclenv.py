@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import CLInvalidDevice, RuntimeFault
-from repro.opencl import find_device, reset_platforms
+from repro.errors import CLInvalidDevice
+from repro.opencl import reset_platforms
 from repro.runtime.oclenv import (
     device_matrix,
     get_environment,
@@ -44,15 +44,6 @@ class TestEnvironments:
             get_environment("GPU", device_index=7)
         with pytest.raises(CLInvalidDevice):
             get_environment("GPU", platform_index=3)
-
-    def test_acquire_queue_finds_existing(self):
-        env = get_environment("CPU")
-        assert device_matrix().acquire_queue(env.device) is env.queue
-
-    def test_acquire_queue_unknown_device(self):
-        device = find_device("GPU")
-        with pytest.raises(RuntimeFault):
-            device_matrix().acquire_queue(device)
 
     def test_fallback_when_type_missing(self):
         # Requesting an absent type falls back to any device, as real

@@ -1,8 +1,11 @@
 """VM internals: value types, natives, bytecode-level behaviour."""
 
+import re
+
 import pytest
 
 from repro import ensemble
+from repro.apps.lud import runners as lud
 from repro.errors import RuntimeFault, VMError
 from repro.runtime import ManagedArray
 from repro.runtime.values import (
@@ -13,6 +16,7 @@ from repro.runtime.values import (
     store_value,
 )
 from repro.runtime.vm import BYTECODE_NS, EnsembleVM, _binop
+from repro.trace import tracing
 
 
 class TestArrayViews:
@@ -180,6 +184,19 @@ stage home {
         assert vm.output == [
             repr(expected_a), repr(expected_v), str(t11), str(t12)
         ]
+
+    def test_bulk_natives_charge_on_the_calling_actor_track(self):
+        with tracing() as tracer:
+            lud.run_ensemble(8)
+        fills = [s for s in tracer.spans if s.name == "vm.native_fill"]
+        # Control fills the matrix and checksums the result; both
+        # charges belong on its track, not on the stage's.
+        assert len(fills) == 2
+        for span in fills:
+            assert re.fullmatch(r"vm/Control-\d+", span.track)
+            assert any(
+                s.name == "vm.bytecode" for s in tracer.spans_on(span.track)
+            )
 
     def test_checksum_native_matches_manual_loop(self):
         source = """

@@ -38,6 +38,7 @@ TARGETS = [
 #: shrinking it.
 REQUIRED = [
     os.path.join("src", "repro", "config.py"),
+    os.path.join("src", "repro", "actors", "kernel_actor.py"),
     os.path.join("src", "repro", "opencl", "fusion.py"),
     os.path.join("src", "repro", "opencl", "queue.py"),
     os.path.join("src", "repro", "opencl", "faults.py"),
