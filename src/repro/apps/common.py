@@ -17,7 +17,11 @@ Every application (Section 7.1) ships in five runnable variants:
 =================  ==========================================================
 
 All runners return a :class:`RunOutcome` with the Figure-3 breakdown
-segments computed from the cost ledgers.
+segments computed from the cost ledgers.  Both Ensemble variants
+(``run_ensemble`` and Table 1's ``run_ensemble_single``) are one call to
+:func:`run_ensemble_program`, which runs the source through
+:func:`repro.ensemble.run_source` and reads the value the program
+prints; the single-threaded C variants report :func:`host_only`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .. import kcache, kernelc
+from .. import kcache
 from ..opencl import CostLedger
 from ..opencl.context import current_clock
 from ..openacc.runtime import HOST_OPS_PER_NS
@@ -74,6 +78,42 @@ def collect_runtime_ledger() -> CostLedger:
     return device_matrix().combined_ledger()
 
 
+def host_only(host_ns: float) -> dict[str, float]:
+    """The Figure-3 breakdown of a run that never touches a device."""
+    return {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
+            "overhead": host_ns}
+
+
+def rounded(text: str) -> float:
+    """Parse a printed real at :func:`checksum`'s precision."""
+    return round(float(text), 6)
+
+
+def run_ensemble_program(
+    source: str, label: str, parse: Callable[[str], Any] = float
+) -> RunOutcome:
+    """Run Ensemble *source* and read the value it prints after *label*.
+
+    The runtime ledgers are reset first and the breakdown sums them with
+    the VM's own ledger, so a program that never touches a device
+    reports only the VM's host time.
+    """
+    from .. import ensemble  # only the Ensemble variants load the compiler
+
+    reset_runtime_ledgers()
+    run = ensemble.run_source(source, timeout=600.0)
+    output = run.output
+    for i, line in enumerate(output):
+        if line.startswith(label):
+            value = parse(output[i + 1])
+            break
+    else:
+        raise AssertionError(f"no {label} in program output: {output!r}")
+    return RunOutcome(
+        value, merge_ledgers(collect_runtime_ledger(), run.vm.ledger)
+    )
+
+
 def run_host_c(source: str, function: str, args: list) -> tuple[Any, float]:
     """Run single-threaded kernel-C at sequential host speed.
 
@@ -83,7 +123,6 @@ def run_host_c(source: str, function: str, args: list) -> tuple[Any, float]:
     compiled = kcache.get_or_build(source, None, options="host")
     value, ops = compiled.call(function, args)
     return value, ops / HOST_OPS_PER_NS
-
 
 
 def checksum(values) -> float:

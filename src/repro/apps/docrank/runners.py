@@ -39,8 +39,10 @@ from ...openacc.runtime import AccProgram
 from ..common import (
     RunOutcome,
     collect_runtime_ledger,
+    host_only,
     merge_ledgers,
     reset_runtime_ledgers,
+    run_ensemble_program,
     run_host_c,
 )
 from .sources import (
@@ -96,11 +98,7 @@ def run_single_c(
     value, host_ns = run_host_c(
         SINGLE_C_SOURCE, "run", [wanted, ndocs, v, repeats]
     )
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": host_ns},
-    )
+    return RunOutcome(value, host_only(host_ns))
 
 
 def run_api(
@@ -208,18 +206,9 @@ def run_ensemble(
     repeats: int = DEFAULT_REPEATS,
     device_type: str = "GPU",
 ) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(
-        ensemble_opencl_source(ndocs, v, repeats, device_type)
-    )
-    reset_runtime_ledgers()
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_int_checksum(vm.output)
-    return RunOutcome(
-        value, merge_ledgers(collect_runtime_ledger(), vm.ledger)
+    return run_ensemble_program(
+        ensemble_opencl_source(ndocs, v, repeats, device_type), "checksum=",
+        int,
     )
 
 
@@ -228,19 +217,8 @@ def run_ensemble_single(
     v: int = DEFAULT_TERMS,
     repeats: int = DEFAULT_REPEATS,
 ) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(
-        ensemble_single_source(ndocs, v, repeats)
-    )
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_int_checksum(vm.output)
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": vm.ledger.host_ns},
+    return run_ensemble_program(
+        ensemble_single_source(ndocs, v, repeats), "checksum=", int
     )
 
 
@@ -259,10 +237,3 @@ def run_openacc(
     wanted = [0] * ndocs
     result = program.run("run", [wanted, ndocs, v, repeats])
     return RunOutcome(result.value, merge_ledgers(result.ledger))
-
-
-def _parse_int_checksum(output: list[str]) -> int:
-    for i, line in enumerate(output):
-        if line.startswith("checksum="):
-            return int(output[i + 1])
-    raise AssertionError(f"no checksum in program output: {output!r}")

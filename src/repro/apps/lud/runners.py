@@ -39,8 +39,11 @@ from ..common import (
     RunOutcome,
     checksum,
     collect_runtime_ledger,
+    host_only,
     merge_ledgers,
     reset_runtime_ledgers,
+    rounded,
+    run_ensemble_program,
     run_host_c,
 )
 from .sources import (
@@ -76,12 +79,7 @@ def run_python(n: int = DEFAULT_N) -> RunOutcome:
 def run_single_c(n: int = DEFAULT_N) -> RunOutcome:
     m = [0.0] * (n * n)
     value, host_ns = run_host_c(SINGLE_C_SOURCE, "run", [m, n])
-    return RunOutcome(
-        round(value, 6),
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": host_ns},
-        meta={"m": m},
-    )
+    return RunOutcome(round(value, 6), host_only(host_ns), meta={"m": m})
 
 
 def run_api(n: int = DEFAULT_N, device_type: str = "GPU") -> RunOutcome:
@@ -201,33 +199,14 @@ def run_actors(
 def run_ensemble(
     n: int = DEFAULT_N, device_type: str = "GPU", movable: bool = True
 ) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(
-        ensemble_opencl_source(n, device_type, movable)
-    )
-    reset_runtime_ledgers()
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_checksum(vm.output)
-    return RunOutcome(
-        round(value, 6), merge_ledgers(collect_runtime_ledger(), vm.ledger)
+    return run_ensemble_program(
+        ensemble_opencl_source(n, device_type, movable), "checksum=", rounded
     )
 
 
 def run_ensemble_single(n: int = DEFAULT_N) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(ensemble_single_source(n))
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_checksum(vm.output)
-    return RunOutcome(
-        round(value, 6),
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": vm.ledger.host_ns},
+    return run_ensemble_program(
+        ensemble_single_source(n), "checksum=", rounded
     )
 
 
@@ -238,10 +217,3 @@ def run_openacc(n: int = DEFAULT_N, device_type: str = "GPU") -> RunOutcome:
     return RunOutcome(
         round(result.value, 6), merge_ledgers(result.ledger), meta={"m": m}
     )
-
-
-def _parse_checksum(output: list[str]) -> float:
-    for i, line in enumerate(output):
-        if line.startswith("checksum="):
-            return float(output[i + 1])
-    raise AssertionError(f"no checksum in program output: {output!r}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as _np
+
 from ...actors import ManagedArray, run_kernel
 from ...opencl.api import (
     CL_MEM_WRITE_ONLY,
@@ -27,8 +29,10 @@ from ...openacc.runtime import AccProgram
 from ..common import (
     RunOutcome,
     collect_runtime_ledger,
+    host_only,
     merge_ledgers,
     reset_runtime_ledgers,
+    run_ensemble_program,
     run_host_c,
 )
 from .sources import (
@@ -44,14 +48,8 @@ DEFAULT_H = 48
 DEFAULT_ITER = 100
 
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional dep
-    _np = None
-
-
 def _checksum_int(counts: list[int]) -> int:
-    if _np is not None and len(counts) >= 4096:
+    if len(counts) >= 4096:
         values = _np.asarray(counts, dtype=_np.int64)
         weights = _np.arange(len(counts), dtype=_np.int64) % 97 + 1
         return int(values.dot(weights))
@@ -81,12 +79,7 @@ def run_single_c(
 ) -> RunOutcome:
     counts = [0] * (w * h)
     value, host_ns = run_host_c(SINGLE_C_SOURCE, "run", [counts, w, h, max_iter])
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": host_ns},
-        meta={"counts": counts},
-    )
+    return RunOutcome(value, host_only(host_ns), meta={"counts": counts})
 
 
 def run_api(
@@ -162,37 +155,16 @@ def run_ensemble(
     max_iter: int = DEFAULT_ITER,
     device_type: str = "GPU",
 ) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(
-        ensemble_opencl_source(w, h, max_iter, device_type)
-    )
-    reset_runtime_ledgers()
-    vm = EnsembleVM(compiled)
-    vm.run(300.0)
-    value = _parse_int_checksum(vm.output)
-    return RunOutcome(
-        value, merge_ledgers(collect_runtime_ledger(), vm.ledger)
+    return run_ensemble_program(
+        ensemble_opencl_source(w, h, max_iter, device_type), "checksum=", int
     )
 
 
 def run_ensemble_single(
     w: int = DEFAULT_W, h: int = DEFAULT_H, max_iter: int = DEFAULT_ITER
 ) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(
-        ensemble_single_source(w, h, max_iter)
-    )
-    vm = EnsembleVM(compiled)
-    vm.run(300.0)
-    value = _parse_int_checksum(vm.output)
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": vm.ledger.host_ns},
+    return run_ensemble_program(
+        ensemble_single_source(w, h, max_iter), "checksum=", int
     )
 
 
@@ -208,10 +180,3 @@ def run_openacc(
     return RunOutcome(
         result.value, merge_ledgers(result.ledger), meta={"counts": counts}
     )
-
-
-def _parse_int_checksum(output: list[str]) -> int:
-    for i, line in enumerate(output):
-        if line.startswith("checksum="):
-            return int(output[i + 1])
-    raise AssertionError(f"no checksum in program output: {output!r}")

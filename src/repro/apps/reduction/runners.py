@@ -29,8 +29,10 @@ from ...openacc.runtime import AccProgram
 from ..common import (
     RunOutcome,
     collect_runtime_ledger,
+    host_only,
     merge_ledgers,
     reset_runtime_ledgers,
+    run_ensemble_program,
     run_host_c,
 )
 from .sources import (
@@ -62,11 +64,7 @@ def run_python(n: int = DEFAULT_N) -> RunOutcome:
 
 def run_single_c(n: int = DEFAULT_N) -> RunOutcome:
     value, host_ns = run_host_c(SINGLE_C_SOURCE, "run", [n])
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": host_ns},
-    )
+    return RunOutcome(value, host_only(host_ns))
 
 
 def run_api(n: int = DEFAULT_N, device_type: str = "GPU") -> RunOutcome:
@@ -131,42 +129,16 @@ def run_actors(
 
 
 def run_ensemble(n: int = DEFAULT_N, device_type: str = "GPU") -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(ensemble_opencl_source(n, device_type))
-    reset_runtime_ledgers()
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_minimum(vm.output)
-    return RunOutcome(
-        value, merge_ledgers(collect_runtime_ledger(), vm.ledger)
+    return run_ensemble_program(
+        ensemble_opencl_source(n, device_type), "minimum="
     )
 
 
 def run_ensemble_single(n: int = DEFAULT_N) -> RunOutcome:
-    from ... import ensemble
-    from ...runtime.vm import EnsembleVM
-
-    compiled = ensemble.compile_source(ensemble_single_source(n))
-    vm = EnsembleVM(compiled)
-    vm.run(600.0)
-    value = _parse_minimum(vm.output)
-    return RunOutcome(
-        value,
-        {"to_device": 0.0, "from_device": 0.0, "kernel": 0.0,
-         "overhead": vm.ledger.host_ns},
-    )
+    return run_ensemble_program(ensemble_single_source(n), "minimum=")
 
 
 def run_openacc(n: int = DEFAULT_N, device_type: str = "GPU") -> RunOutcome:
     program = AccProgram(OPENACC_SOURCE, device_type)
     result = program.run("run", [n])
     return RunOutcome(result.value, merge_ledgers(result.ledger))
-
-
-def _parse_minimum(output: list[str]) -> float:
-    for i, line in enumerate(output):
-        if line.startswith("minimum="):
-            return float(output[i + 1])
-    raise AssertionError(f"no minimum in program output: {output!r}")

@@ -313,11 +313,3 @@ class NewChannel(Expr):
     direction: str
     element: TypeExpr
     movable: bool = False
-
-
-@dataclass
-class NewActor(Expr):
-    """``new Dispatch(args)`` (boot / host code only)."""
-
-    type_name: str
-    args: list[Expr] = field(default_factory=list)

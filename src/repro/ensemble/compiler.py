@@ -251,10 +251,6 @@ class FnCompiler:
                 self.emit("NEWACTOR", (expr.type_name, len(expr.args)))
             else:
                 self.emit("NEWSTRUCT", (expr.type_name, len(expr.args)))
-        elif isinstance(expr, ast.NewActor):
-            for arg in expr.args:
-                self.expr(arg)
-            self.emit("NEWACTOR", (expr.type_name, len(expr.args)))
         elif isinstance(expr, ast.NewChannel):
             self.emit("NEWCHAN", (expr.direction, expr.movable))
         else:

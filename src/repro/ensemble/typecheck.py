@@ -598,8 +598,6 @@ class Checker:
         if isinstance(expr, ast.NewChannel):
             elem = self.table.resolve(expr.element)
             return ChanEndT(expr.direction, elem, expr.movable)
-        if isinstance(expr, ast.NewActor):
-            return self._new_actor_type(expr, scope)
         raise TypeCheckError(f"unknown expression {type(expr).__name__}")
 
     def _binop_type(self, expr: ast.BinOpE, scope: Scope) -> EType:
@@ -817,17 +815,6 @@ class Checker:
                 )
         return StructT(expr.type_name)
 
-    def _new_actor_type(self, expr: ast.NewActor, scope: Scope) -> EType:
-        info = self.table.actor(expr.type_name)
-        for arg, (_, want) in zip(expr.args, info.ctor_params):
-            got = self._check_expr(arg, scope)
-            if not assignable(want, got):
-                raise TypeCheckError(
-                    f"constructor argument of {got} where {want} expected",
-                    expr.line,
-                )
-        return ActorT(expr.type_name)
-
 
 # =====================================================================
 # Movability analysis
@@ -851,7 +838,7 @@ def _expr_names(expr: ast.Expr):
     elif isinstance(expr, ast.CallE):
         for arg in expr.args:
             yield from _expr_names(arg)
-    elif isinstance(expr, (ast.NewArray, ast.NewStruct, ast.NewActor)):
+    elif isinstance(expr, (ast.NewArray, ast.NewStruct)):
         for child in getattr(expr, "dims", []) or []:
             yield from _expr_names(child)
         for child in getattr(expr, "args", []) or []:

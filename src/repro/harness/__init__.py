@@ -23,6 +23,5 @@ from .chaos import (  # noqa: F401
 )
 from .report import (  # noqa: F401
     render_figure,
-    render_ratio_summary,
     render_trace_check,
 )

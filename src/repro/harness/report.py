@@ -105,25 +105,3 @@ def render_trace_check(result: FigureResult) -> str:
     for label, path in sorted(result.trace_files.items()):
         lines.append(f"  trace file: {label} -> {path}")
     return "\n".join(lines)
-
-
-def render_ratio_summary(result: FigureResult) -> str:
-    """Key ratios the paper's prose reports for the figure."""
-    def total(label: str) -> float:
-        bar = result.bar(label)
-        return bar.total if not bar.failed else float("nan")
-
-    lines = [f"Figure {result.figure} ratios (x Ensemble GPU):"]
-    for label in (
-        "C-OpenCL GPU",
-        "C-OpenACC GPU",
-        "Ensemble CPU",
-        "C-OpenCL CPU",
-        "C-OpenACC CPU",
-    ):
-        bar = result.bar(label)
-        if bar.failed:
-            lines.append(f"  {label:<16} no result ({bar.note})")
-        else:
-            lines.append(f"  {label:<16} {bar.total:.2f}x")
-    return "\n".join(lines)

@@ -29,6 +29,7 @@ stable across runs (the fused binary cache hits).
 
 from __future__ import annotations
 
+import copy
 from typing import Mapping, Optional, Sequence
 
 from . import ir
@@ -155,119 +156,32 @@ def user_callees(module: ir.Module, fn: ir.Function) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _clone_expr(
-    e: ir.Expr, names: Mapping[str, str], calls: Mapping[str, str]
-) -> ir.Expr:
-    if isinstance(e, ir.Const):
-        out: ir.Expr = ir.Const(e.value)
-    elif isinstance(e, ir.Var):
-        out = ir.Var(names.get(e.name, e.name))
-    elif isinstance(e, ir.BinOp):
-        out = ir.BinOp(
-            e.op, _clone_expr(e.left, names, calls),
-            _clone_expr(e.right, names, calls),
-        )
-    elif isinstance(e, ir.UnOp):
-        out = ir.UnOp(e.op, _clone_expr(e.operand, names, calls))
-    elif isinstance(e, ir.Index):
-        out = ir.Index(
-            _clone_expr(e.base, names, calls),
-            _clone_expr(e.index, names, calls),
-        )
-    elif isinstance(e, ir.Call):
-        out = ir.Call(
-            calls.get(e.name, e.name),
-            [_clone_expr(a, names, calls) for a in e.args],
-        )
-    elif isinstance(e, ir.Cast):
-        out = ir.Cast(e.target, _clone_expr(e.operand, names, calls))
-    elif isinstance(e, ir.Select):
-        out = ir.Select(
-            _clone_expr(e.cond, names, calls),
-            _clone_expr(e.if_true, names, calls),
-            _clone_expr(e.if_false, names, calls),
-        )
-    else:  # pragma: no cover - new node kinds must be handled explicitly
-        raise TypeError(f"cannot clone expression {type(e).__name__}")
-    out.type = e.type
-    return out
-
-
-def _clone_stmts(
+def _renamed(
     stmts: Sequence[ir.Stmt],
     names: Mapping[str, str],
     calls: Mapping[str, str],
 ) -> list[ir.Stmt]:
-    out: list[ir.Stmt] = []
-    for st in stmts:
-        if isinstance(st, ir.Decl):
-            out.append(
-                ir.Decl(
-                    names.get(st.name, st.name),
-                    st.type,
-                    None if st.init is None
-                    else _clone_expr(st.init, names, calls),
-                    None if st.size is None
-                    else _clone_expr(st.size, names, calls),
-                )
-            )
-        elif isinstance(st, ir.Assign):
-            out.append(
-                ir.Assign(
-                    names.get(st.name, st.name),
-                    _clone_expr(st.value, names, calls),
-                )
-            )
-        elif isinstance(st, ir.Store):
-            out.append(
-                ir.Store(
-                    _clone_expr(st.base, names, calls),
-                    _clone_expr(st.index, names, calls),
-                    _clone_expr(st.value, names, calls),
-                )
-            )
-        elif isinstance(st, ir.If):
-            out.append(
-                ir.If(
-                    _clone_expr(st.cond, names, calls),
-                    _clone_stmts(st.then, names, calls),
-                    _clone_stmts(st.orelse, names, calls),
-                )
-            )
-        elif isinstance(st, ir.For):
-            out.append(
-                ir.For(
-                    names.get(st.var, st.var),
-                    _clone_expr(st.start, names, calls),
-                    _clone_expr(st.stop, names, calls),
-                    _clone_expr(st.step, names, calls),
-                    _clone_stmts(st.body, names, calls),
-                )
-            )
-        elif isinstance(st, ir.While):
-            out.append(
-                ir.While(
-                    _clone_expr(st.cond, names, calls),
-                    _clone_stmts(st.body, names, calls),
-                )
-            )
-        elif isinstance(st, ir.Break):
-            out.append(ir.Break())
-        elif isinstance(st, ir.Continue):
-            out.append(ir.Continue())
-        elif isinstance(st, ir.Return):
-            out.append(
-                ir.Return(
-                    None if st.value is None
-                    else _clone_expr(st.value, names, calls)
-                )
-            )
-        elif isinstance(st, ir.ExprStmt):
-            out.append(ir.ExprStmt(_clone_expr(st.expr, names, calls)))
-        elif isinstance(st, ir.Barrier):
-            out.append(ir.Barrier())
-        else:  # pragma: no cover - new node kinds must be handled explicitly
-            raise TypeError(f"cannot clone statement {type(st).__name__}")
+    """A deep copy of *stmts* with identifiers renamed through *names*
+    and helper calls through *calls*.
+
+    The copy keeps the source's node sharing (the kernel-C parser gives
+    ``a[s] += v`` one index node for the store and the load), so every
+    node is renamed once: a second pass over a shared node would chain
+    a map such as ``{"a": "b", "b": "b_2"}``.
+    """
+    out = copy.deepcopy(list(stmts))
+    seen: set[int] = set()
+    for st in ir.walk_stmts(out):
+        for node in (st, *ir.walk_exprs(st)):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, (ir.Decl, ir.Assign, ir.Var)):
+                node.name = names.get(node.name, node.name)
+            elif isinstance(node, ir.For):
+                node.var = names.get(node.var, node.var)
+            elif isinstance(node, ir.Call):
+                node.name = calls.get(node.name, node.name)
     return out
 
 
@@ -355,15 +269,15 @@ def compose_module(
                     fused_name,
                     [ir.Param(p.name, p.type) for p in helper.params],
                     helper.ret_type,
-                    _clone_stmts(helper.body, {}, calls),
+                    _renamed(helper.body, {}, calls),
                     is_kernel=False,
                 )
             )
 
-    body_a = _clone_stmts(
+    body_a = _renamed(
         fn_a.body, _rename_map(fn_a, param_map_a, "fa__"), calls_a
     )
-    body_b = _clone_stmts(
+    body_b = _renamed(
         fn_b.body, _rename_map(fn_b, param_map_b, "fb__"), calls_b
     )
     if guard_rank > 0:

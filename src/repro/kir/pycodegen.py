@@ -223,10 +223,13 @@ class _FnCompiler:
             if ir.FLOAT in (lk, rk):
                 return f"__fmod({left}, {right})"
             return f"__mod({left}, {right})"
-        if op == "&&":
-            return f"({left} and {right})"
-        if op == "||":
-            return f"({left} or {right})"
+        if op in ("&&", "||"):
+            # Python's and/or return an operand; OpenCL C gives 0 or 1.
+            if lk != ir.BOOL:
+                left = f"bool({left})"
+            if rk != ir.BOOL:
+                right = f"bool({right})"
+            return f"({left} {'and' if op == '&&' else 'or'} {right})"
         return f"({left} {op} {right})"
 
     def _call(self, e: ir.Call) -> str:
@@ -453,7 +456,6 @@ class KernelRunner:
         self.fn = fn
         self.name = fn.name
         self.group_mode = run_warps is None
-        self.has_barrier = ir.has_barrier(fn)
         self._run_warps = run_warps
         self._wi_factory = wi_factory
         self._locals_factory = locals_factory
@@ -521,10 +523,6 @@ class KernelRunner:
         group_items = l[0] * l[1] * l[2]
         # One generator slot per work-item, reused for every group.
         gens: list = [None] * group_items
-        drive = (
-            self._drive_group if self.has_barrier
-            else self._drive_group_nobarrier
-        )
         for gz in range(ngrp[2]):
             for gy in range(ngrp[1]):
                 for gx in range(ngrp[0]):
@@ -551,7 +549,7 @@ class KernelRunner:
                                     dim,
                                 )
                                 slot += 1
-                    item_ops.extend(drive(gens, group_items))
+                    item_ops.extend(self._drive_group(gens, group_items))
         return item_ops
 
     @staticmethod
@@ -573,28 +571,6 @@ class KernelRunner:
                     "reached the barrier"
                 )
             live = still
-        return ops
-
-    @staticmethod
-    def _drive_group_nobarrier(gens: list, count: int) -> list[int]:
-        """Run a barrier-free group to completion, one item at a time.
-
-        Local-memory kernels without barriers land here: there is no
-        lock-step to maintain, so the per-pass ``live``/``still`` list
-        churn of :meth:`_drive_group` is skipped entirely.
-        """
-        ops = [0] * count
-        for i in range(count):
-            gen = gens[i]
-            try:
-                next(gen)  # run the body up to the trailing yield
-                next(gen)  # complete
-            except StopIteration as stop:
-                ops[i] = stop.value if stop.value is not None else 0
-                continue
-            raise KirRuntimeError(  # pragma: no cover - defensive
-                "barrier in a kernel compiled as barrier-free"
-            )
         return ops
 
 

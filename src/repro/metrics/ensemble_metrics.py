@@ -58,8 +58,7 @@ class _Tally:
                 if isinstance(e, ast.CallE):
                     self.b += 1
                 elif isinstance(
-                    e, (ast.NewStruct, ast.NewActor, ast.NewChannel,
-                        ast.NewArray)
+                    e, (ast.NewStruct, ast.NewChannel, ast.NewArray)
                 ):
                     self.b += 1
                 elif isinstance(e, ast.BinOpE):

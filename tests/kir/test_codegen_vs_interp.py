@@ -77,6 +77,11 @@ CASES = {
         "f",
         lambda: [5],
     ),
+    "logic_values": (
+        "int f(int a, int b) { return (int)(a && b) * 10 + (int)(a || b); }",
+        "f",
+        lambda: [3, 5],
+    ),
     "math": (
         """
         float f(float x) {

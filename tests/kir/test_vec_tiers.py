@@ -194,6 +194,15 @@ __kernel void rank(__global int *tf, __global int *out, int vocab) {
 }
 """
 
+# OpenCL C's && and || yield 0 or 1, never an operand.
+LOGIC_VALUES = """
+__kernel void logic(__global int *out, int a, int b) {
+    int i = get_global_id(0);
+    int v = out[i];
+    out[i] = (int)(v && b) * 10 + (int)(v || a);
+}
+"""
+
 HELPER_IN_LOOP_COND = """
 int step_of(int x) { return x % 3 + 1; }
 __kernel void strider(__global int *out, int n) {
@@ -335,6 +344,7 @@ class TestLedgerTotals:
         (ESCAPE_LOOP, "escape", [60], 1, "int"),
         (BREAK_CONTINUE, "bc", [24], 1, "int"),
         (INLINED_HELPERS, "rank", [7], 2, "int"),
+        (LOGIC_VALUES, "logic", [3, 5], 1, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))

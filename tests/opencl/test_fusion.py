@@ -90,6 +90,20 @@ __kernel void span(__global float *piv) {
 }
 """
 
+FIRST_PRODUCER = """
+__kernel void first(__global float *y, int b) {
+    y[0] = (float)b;
+}
+"""
+
+# ``x[a] += ...`` parses to a store and a load sharing one index node.
+COMPOUND_CONSUMER = """
+__kernel void second(__global float *y, __global float *x, int a, int b) {
+    int i = get_global_id(0);
+    if (i == 0) x[a] += y[0] * 10.0 + (float)b;
+}
+"""
+
 DIV_CONSUMER = """
 __kernel void divp(__global float *a, __global float *piv) {
     int i = get_global_id(0);
@@ -290,6 +304,36 @@ class TestPrologueFusion:
                 fused = chain(q1, ctx1)
             assert fused == plain
             assert tr.counter("dispatch.fuse") == 1
+
+    def test_shared_index_node_is_renamed_once(self):
+        # The consumer's scalar a equals the producer's b, so the fused
+        # renames chain: a -> b and b -> b_2.  Renaming the compound
+        # store's shared index twice would store at x[7].
+        def chain(queue, context):
+            k_first = make_kernel(context, FIRST_PRODUCER, "first")
+            k_second = make_kernel(context, COMPOUND_CONSUMER, "second")
+            y, x = cl.Buffer(context, 1), cl.Buffer(context, 16)
+            for index, arg in enumerate((y, 3)):
+                k_first.set_arg(index, arg)
+            for index, arg in enumerate((y, x, 3, 7)):
+                k_second.set_arg(index, arg)
+            queue.enqueue_nd_range_kernel(k_first, [1])
+            queue.enqueue_nd_range_kernel(k_second, [16], [8])
+            out = [0.0] * 16
+            queue.enqueue_read_buffer(x, out)
+            return out
+
+        _, ctx0, q0 = gpu_context()
+        plain = chain(q0, ctx0)
+        cl.reset_platforms()
+        with configure(fusion=True):
+            _, ctx1, q1 = gpu_context()
+            with tracing() as tr:
+                fused = chain(q1, ctx1)
+        assert plain[3] == 37.0
+        assert fused == plain
+        assert tr.counter("dispatch.fuse") == 1
+        assert ctx1.ledger.kernel_launches == ctx0.ledger.kernel_launches - 1
 
     def test_geometry_reading_producer_demotes(self):
         n = 16
