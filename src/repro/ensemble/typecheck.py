@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .. import kir
 from ..errors import MovabilityError, TypeCheckError
 from . import ast
 from .types import (
@@ -70,20 +71,12 @@ WORKITEM: dict[str, tuple[list[EType], EType]] = {
 }
 
 # Math builtins: available both on the host and inside kernels
-# ("the standard set of OpenCL calls ... including the math functions").
+# ("the standard set of OpenCL calls ... including the math functions"),
+# with kernel IR's arities.
 MATH: dict[str, tuple[list[EType], EType]] = {
-    "sqrt": ([REAL], REAL),
-    "fabs": ([REAL], REAL),
-    "exp": ([REAL], REAL),
-    "log": ([REAL], REAL),
-    "sin": ([REAL], REAL),
-    "cos": ([REAL], REAL),
-    "pow": ([REAL, REAL], REAL),
-    "floor": ([REAL], REAL),
-    "ceil": ([REAL], REAL),
-    "fmin": ([REAL, REAL], REAL),
-    "fmax": ([REAL, REAL], REAL),
-    "atan2": ([REAL, REAL], REAL),
+    name: ([REAL] * len(kir.MATH_BUILTINS[name][0]), REAL)
+    for name in ("sqrt", "fabs", "exp", "log", "sin", "cos", "pow",
+                 "floor", "ceil", "fmin", "fmax", "atan2")
 }
 
 

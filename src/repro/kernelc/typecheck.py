@@ -2,7 +2,8 @@
 
 Fills in ``Expr.type`` on every expression, inserts explicit
 :class:`~repro.kir.ir.Cast` nodes where C would convert implicitly
-(int <-> float on assignment, argument passing and return), and rejects
+(int <-> float, and bool to either, on assignment, argument passing and
+return), and rejects
 genuinely ill-typed programs.  The annotated types drive the Python code
 generator's choice of C-style integer division versus float division.
 """
@@ -50,13 +51,15 @@ class TypeChecker:
         return isinstance(t, kir.ScalarType) and t.kind in (kir.INT, kir.FLOAT)
 
     def _coerce(self, expr: kir.Expr, want: kir.ScalarType) -> kir.Expr:
-        """Return *expr* converted to *want*, inserting a Cast if needed."""
+        """Return *expr* converted to *want*, inserting a Cast if needed:
+        as in C, int, float and bool (0 or 1) convert to int or float,
+        and nothing converts implicitly to bool."""
         have = expr.type
         if not isinstance(have, kir.ScalarType):
             raise TypeCheckError(f"expected a {want} value, got {have}")
         if have.kind == want.kind:
             return expr
-        if {have.kind, want.kind} <= {kir.INT, kir.FLOAT}:
+        if want.kind != kir.BOOL:
             cast = kir.Cast(want, expr)
             cast.type = want
             return cast

@@ -3,7 +3,9 @@
 Every front end (kernel-C, the Ensemble compiler's kernel extraction,
 the OpenACC pragma compiler) lowers to this IR; the OpenCL substrate's
 devices execute it via :func:`compile_module` (fast path) or
-:class:`Interpreter` (instrumented reference engine).
+:class:`Interpreter` (instrumented reference engine).  What ``/``,
+``%`` and the math builtins compute is defined once, for every engine,
+in :mod:`repro.kir.semantics`.
 """
 
 from .ir import (  # noqa: F401
@@ -59,7 +61,7 @@ from .ir import (  # noqa: F401
     walk_stmts,
     written_arrays,
 )
-from .interp import Interpreter, WorkItem, c_idiv, c_imod  # noqa: F401
+from .interp import Interpreter, WorkItem  # noqa: F401
 from .pycodegen import CompiledModule, KernelRunner, compile_module  # noqa: F401
 from .unparse import unparse_function, unparse_module  # noqa: F401
 from .validate import validate  # noqa: F401

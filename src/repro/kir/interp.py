@@ -8,7 +8,9 @@ the OpenACC host code.
 
 Semantics
 ---------
-* ``int`` division and modulo follow C (truncation toward zero).
+* ``/``, ``%`` and the math builtins are :mod:`repro.kir.semantics`'s:
+  ``int`` division truncates toward zero as in C, and ``float``
+  operations follow IEEE 754 (inf or NaN, never an error).
 * Out-of-bounds array access raises :class:`KirRuntimeError` (a real GPU
   would silently corrupt memory; we prefer loud failure).
 * Barriers are implemented by yielding from the execution generator;
@@ -17,24 +19,10 @@ Semantics
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator, Optional, Sequence
 
 from ..errors import KirRuntimeError
-from . import ir
-
-
-def c_idiv(a: int, b: int) -> int:
-    """C-style integer division (truncate toward zero)."""
-    if b == 0:
-        raise KirRuntimeError("integer division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def c_imod(a: int, b: int) -> int:
-    """C-style integer remainder (sign follows the dividend)."""
-    return a - c_idiv(a, b) * b
+from . import ir, semantics
 
 
 class WorkItem:
@@ -70,28 +58,6 @@ class _Continue(Exception):
 class _Return(Exception):
     def __init__(self, value: Any) -> None:
         self.value = value
-
-
-_MATH_IMPL = {
-    "sqrt": math.sqrt,
-    "fabs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
-    "atan2": math.atan2,
-    "pow": math.pow,
-    "floor": lambda x: float(math.floor(x)),
-    "ceil": lambda x: float(math.ceil(x)),
-    "fmin": min,
-    "fmax": max,
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "clamp": lambda x, lo, hi: min(max(x, lo), hi),
-}
 
 
 class Interpreter:
@@ -272,9 +238,11 @@ class Interpreter:
                 return bool(self._eval(e.left, env, wi)) or bool(
                     self._eval(e.right, env, wi)
                 )
+            fn = semantics.BINOPS.get(op)
+            if fn is None:
+                raise KirRuntimeError(f"bad binary op {op!r}")
             lv = self._eval(e.left, env, wi)
-            rv = self._eval(e.right, env, wi)
-            return _binop(op, lv, rv)
+            return fn(lv, self._eval(e.right, env, wi))
         if isinstance(e, ir.UnOp):
             v = self._eval(e.operand, env, wi)
             if e.op == "-":
@@ -329,11 +297,9 @@ class Interpreter:
                 "get_num_groups": wi.ngroups,
             }[name][d]
         args = [self._eval(a, env, wi) for a in e.args]
-        if name in _MATH_IMPL:
-            try:
-                return _MATH_IMPL[name](*args)
-            except ValueError as exc:
-                raise KirRuntimeError(f"{name}: {exc}") from None
+        builtin = semantics.SCALAR_BUILTINS.get(name)
+        if builtin is not None:
+            return builtin(*args)
         fn = self.module.functions.get(name)
         if fn is None:
             raise KirRuntimeError(f"call to unknown function {name!r}")
@@ -354,48 +320,3 @@ def _zero(typ: ir.Type) -> Any:
             return 0.0
         return False
     return None
-
-
-def _binop(op: str, lv: Any, rv: Any) -> Any:
-    both_int = isinstance(lv, int) and isinstance(rv, int) and not (
-        isinstance(lv, bool) or isinstance(rv, bool)
-    )
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "/":
-        if both_int:
-            return c_idiv(lv, rv)
-        if rv == 0:
-            raise KirRuntimeError("float division by zero")
-        return lv / rv
-    if op == "%":
-        if both_int:
-            return c_imod(lv, rv)
-        return math.fmod(lv, rv)
-    if op == "==":
-        return lv == rv
-    if op == "!=":
-        return lv != rv
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
-    if op == "&":
-        return lv & rv
-    if op == "|":
-        return lv | rv
-    if op == "^":
-        return lv ^ rv
-    if op == "<<":
-        return lv << rv
-    if op == ">>":
-        return lv >> rv
-    raise KirRuntimeError(f"bad binary op {op!r}")

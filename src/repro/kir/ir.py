@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from .semantics import BUILTINS
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -353,27 +355,11 @@ WORKITEM_BUILTINS = (
     "get_work_dim",
 )
 
-# name -> (arg scalar kinds, result kind).  'num' means int-or-float and the
-# result follows the argument type.
+# name -> (arg scalar kinds, result kind), from the one builtin table in
+# :mod:`repro.kir.semantics`.  'num' means int-or-float; a 'follow'
+# result has the (unified) argument type.
 MATH_BUILTINS: dict[str, tuple[tuple[str, ...], str]] = {
-    "sqrt": (("num",), FLOAT),
-    "fabs": (("num",), FLOAT),
-    "exp": (("num",), FLOAT),
-    "log": (("num",), FLOAT),
-    "sin": (("num",), FLOAT),
-    "cos": (("num",), FLOAT),
-    "tan": (("num",), FLOAT),
-    "atan": (("num",), FLOAT),
-    "atan2": (("num", "num"), FLOAT),
-    "pow": (("num", "num"), FLOAT),
-    "floor": (("num",), FLOAT),
-    "ceil": (("num",), FLOAT),
-    "fmin": (("num", "num"), FLOAT),
-    "fmax": (("num", "num"), FLOAT),
-    "min": (("num", "num"), "follow"),
-    "max": (("num", "num"), "follow"),
-    "abs": (("num",), "follow"),
-    "clamp": (("num", "num", "num"), "follow"),
+    name: (kinds, result) for name, (kinds, result, _) in BUILTINS.items()
 }
 
 

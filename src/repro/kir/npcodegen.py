@@ -76,15 +76,13 @@ Everything here is a wall-clock optimisation only.
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Any, Optional, Sequence
 
 import numpy as _np
 
 from ..errors import KirRuntimeError
-from . import ir
-from .interp import c_idiv, c_imod
+from . import ir, semantics
 from .pycodegen import (
     _Emitter,
     _MAX_DIMS,
@@ -124,28 +122,6 @@ _NP_DTYPE_OF = {"int": "__np.int64", "float": "__np.float64", "bool": "bool"}
 
 _ZERO = {"int": "0", "float": "0.0", "bool": "False"}
 
-#: math builtin -> numpy-side expression prefix
-_NP_MATH = {
-    "sqrt": "__np.sqrt",
-    "fabs": "__np.abs",
-    "exp": "__np.exp",
-    "log": "__np.log",
-    "sin": "__np.sin",
-    "cos": "__np.cos",
-    "tan": "__np.tan",
-    "atan": "__np.arctan",
-    "atan2": "__np.arctan2",
-    "pow": "__vpow",
-    "floor": "__np.floor",
-    "ceil": "__np.ceil",
-    "fmin": "__np.minimum",
-    "fmax": "__np.maximum",
-    "min": "__np.minimum",
-    "max": "__np.maximum",
-    "abs": "__np.abs",
-    "clamp": "__vclamp",
-}
-
 _VARIANT_ID_BUILTINS = ("get_global_id", "get_local_id", "get_group_id")
 
 
@@ -163,89 +139,6 @@ def _vmask(val: Any, n: int):
     if val:
         return _np.ones(n, dtype=bool)
     return _np.zeros(n, dtype=bool)
-
-
-def _vidiv(a: Any, b: Any, m: Any):
-    """C-style integer division, mask-aware for inactive lanes."""
-    if not _is_arr(a) and not _is_arr(b):
-        return c_idiv(a, b)
-    a = _np.asarray(a)
-    b = _np.asarray(b)
-    zero = b == 0
-    if zero.any():
-        if m is None or bool((zero & m).any()):
-            raise KirRuntimeError("integer division by zero")
-        b = _np.where(zero, 1, b)
-    q = _np.abs(a) // _np.abs(b)
-    return _np.where((a < 0) == (b < 0), q, -q)
-
-
-def _vimod(a: Any, b: Any, m: Any):
-    """C-style integer remainder (sign follows the dividend)."""
-    if not _is_arr(a) and not _is_arr(b):
-        return c_imod(a, b)
-    return a - _vidiv(a, b, m) * b
-
-
-def _vfdiv(a: Any, b: Any, m: Any):
-    """Float division, mask-aware for inactive lanes."""
-    if not _is_arr(a) and not _is_arr(b):
-        if b == 0:
-            raise ZeroDivisionError("float division by zero")
-        return a / b
-    b = _np.asarray(b)
-    zero = b == 0
-    if zero.any():
-        if m is None or bool((zero & m).any()):
-            raise ZeroDivisionError("float division by zero")
-        b = _np.where(zero, 1.0, b)
-    return a / b
-
-
-def _int_like(x: Any) -> bool:
-    if _is_arr(x):
-        return x.dtype.kind in "bi"
-    return isinstance(x, (bool, int, _np.integer))
-
-
-def _vdiv(a: Any, b: Any, m: Any):
-    """Dynamically-typed division (mirrors ``_runtime_div``)."""
-    if _int_like(a) and _int_like(b):
-        return _vidiv(a, b, m)
-    try:
-        return _vfdiv(a, b, m)
-    except ZeroDivisionError:
-        raise KirRuntimeError("float division by zero") from None
-
-
-def _vmod(a: Any, b: Any, m: Any):
-    """Dynamically-typed modulo (mirrors ``_runtime_mod``)."""
-    if _int_like(a) and _int_like(b):
-        return _vimod(a, b, m)
-    return _vfmod(a, b, m)
-
-
-def _vfmod(a: Any, b: Any, m: Any):
-    """Float remainder with C semantics, mask-aware."""
-    if not _is_arr(a) and not _is_arr(b):
-        return math.fmod(a, b)
-    b = _np.asarray(b)
-    zero = b == 0
-    if zero.any():
-        if m is None or bool((zero & m).any()):
-            raise ValueError("math domain error")
-        b = _np.where(zero, 1.0, b)
-    return _np.fmod(a, b)
-
-
-def _vpow(a: Any, b: Any):
-    """Vector ``pow`` (always float, like ``math.pow``)."""
-    return _np.float_power(a, b)
-
-
-def _vclamp(x: Any, lo: Any, hi: Any):
-    """Vector ``clamp``."""
-    return _np.clip(x, lo, hi)
 
 
 def _vload(arr: Any, idx: Any, m: Any):
@@ -386,14 +279,10 @@ def _namespace_base() -> dict[str, Any]:
     return {
         "__np": _np,
         "__vmask": _vmask,
-        "__vidiv": _vidiv,
-        "__vimod": _vimod,
-        "__vdiv": _vdiv,
-        "__vmod": _vmod,
-        "__vfdiv": _vfdiv,
-        "__vfmod": _vfmod,
-        "__vpow": _vpow,
-        "__vclamp": _vclamp,
+        "__vidiv": semantics.vidiv,
+        "__vimod": semantics.vimod,
+        "__vfdiv": semantics.vfdiv,
+        "__vfmod": semantics.vfmod,
         "__vload": _vload,
         "__vload2": _vload2,
         "__vstore": _vstore,
@@ -410,6 +299,10 @@ def _namespace_base() -> dict[str, Any]:
         "__vtake": _vtake,
         "__vput": _vput,
         "__vcstats": _note_compaction,
+        **{
+            f"__math_{name}": fn
+            for name, fn in semantics.VECTOR_BUILTINS.items()
+        },
     }
 
 
@@ -463,7 +356,7 @@ def _callee_taints(module: ir.Module, name: str, seen: tuple = ()) -> bool:
             if isinstance(e, ir.Call):
                 if e.name in ir.WORKITEM_BUILTINS:
                     return True
-                if e.name not in _NP_MATH and _callee_taints(
+                if e.name not in ir.MATH_BUILTINS and _callee_taints(
                     module, e.name, seen + (name,)
                 ):
                     return True
@@ -487,7 +380,7 @@ def _make_expr_variant(module: ir.Module, variant: set[str]):
                     return True
                 if (
                     node.name not in ir.WORKITEM_BUILTINS
-                    and node.name not in _NP_MATH
+                    and node.name not in ir.MATH_BUILTINS
                     and _callee_taints(module, node.name)
                 ):
                     return True
@@ -632,7 +525,9 @@ def _body_reason(
             if isinstance(e, ir.Index) and not isinstance(e.base, ir.Var):
                 return "array-expr"
             if isinstance(e, ir.Call):
-                if e.name in ir.WORKITEM_BUILTINS or e.name in _NP_MATH:
+                if e.name in ir.WORKITEM_BUILTINS or (
+                    e.name in ir.MATH_BUILTINS
+                ):
                     continue
                 reason = _call_reason(module, e, stack)
                 if reason:
@@ -844,7 +739,7 @@ class _VecCompiler:
         if isinstance(e, ir.Call):
             if e.name in ir.WORKITEM_BUILTINS:
                 return ("v", self._call(e))
-            if e.name in _NP_MATH:
+            if e.name in ir.MATH_BUILTINS:
                 ks = tuple(self._cse_key(a) for a in e.args)
                 return None if None in ks else ("m", e.name, ks)
         return None
@@ -938,18 +833,13 @@ class _VecCompiler:
         left = self.expr(e.left)
         right = self.expr(e.right)
         op = e.op
-        if op == "/":
+        if op in ("/", "%"):
+            # validate() admits only int and float operands here; only
+            # int division can fault, so only it takes the mask.
+            stem = "div" if op == "/" else "mod"
             if lk == ir.INT and rk == ir.INT:
-                return f"__vidiv({left}, {right}, {self._m()})"
-            if ir.FLOAT in (lk, rk):
-                return f"__vfdiv({left}, {right}, {self._m()})"
-            return f"__vdiv({left}, {right}, {self._m()})"
-        if op == "%":
-            if lk == ir.INT and rk == ir.INT:
-                return f"__vimod({left}, {right}, {self._m()})"
-            if ir.FLOAT in (lk, rk):
-                return f"__vfmod({left}, {right}, {self._m()})"
-            return f"__vmod({left}, {right}, {self._m()})"
+                return f"__vi{stem}({left}, {right}, {self._m()})"
+            return f"__vf{stem}({left}, {right})"
         if op == "&&":
             return f"__vand({left}, {right})"
         if op == "||":
@@ -964,9 +854,9 @@ class _VecCompiler:
             if not 0 <= d < _MAX_DIMS:
                 return "0" if e.name.endswith("_id") else "1"
             return f"{_WI_VARS[e.name]}{d}"
-        if e.name in _NP_MATH:
+        if e.name in ir.MATH_BUILTINS:
             args = ", ".join(self.expr(a) for a in e.args)
-            return f"{_NP_MATH[e.name]}({args})"
+            return f"__math_{e.name}({args})"
         return self._inline_call(e)
 
     def _inline_call(self, e: ir.Call) -> str:

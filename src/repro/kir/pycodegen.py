@@ -28,72 +28,25 @@ and op counts agree within a small tolerance.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as _np
 
 from ..errors import KirError, KirRuntimeError
-from . import ir
-from .interp import c_idiv, c_imod
+from . import ir, semantics
 
 _MAX_DIMS = 3
 
-
-def _runtime_div(a: Any, b: Any) -> Any:
-    if isinstance(a, int) and isinstance(b, int):
-        return c_idiv(a, b)
-    if b == 0:
-        raise KirRuntimeError("float division by zero")
-    return a / b
-
-
-def _runtime_mod(a: Any, b: Any) -> Any:
-    if isinstance(a, int) and isinstance(b, int):
-        return c_imod(a, b)
-    return math.fmod(a, b)
-
-
 _GLOBALS_BASE: dict[str, Any] = {
-    "__idiv": c_idiv,
-    "__imod": c_imod,
-    "__div": _runtime_div,
-    "__mod": _runtime_mod,
-    "__fmod": math.fmod,
-    "__sqrt": math.sqrt,
-    "__exp": math.exp,
-    "__log": math.log,
-    "__sin": math.sin,
-    "__cos": math.cos,
-    "__tan": math.tan,
-    "__atan": math.atan,
-    "__atan2": math.atan2,
-    "__pow": math.pow,
-    "__floor": lambda x: float(math.floor(x)),
-    "__ceil": lambda x: float(math.ceil(x)),
-    "__clamp": lambda x, lo, hi: min(max(x, lo), hi),
+    "__idiv": semantics.idiv,
+    "__imod": semantics.imod,
+    "__fdiv": semantics.fdiv,
+    "__fmod": semantics.fmod,
     "__kre": KirRuntimeError,
-}
-
-_MATH_NAME = {
-    "sqrt": "__sqrt",
-    "fabs": "abs",
-    "exp": "__exp",
-    "log": "__log",
-    "sin": "__sin",
-    "cos": "__cos",
-    "tan": "__tan",
-    "atan": "__atan",
-    "atan2": "__atan2",
-    "pow": "__pow",
-    "floor": "__floor",
-    "ceil": "__ceil",
-    "fmin": "min",
-    "fmax": "max",
-    "min": "min",
-    "max": "max",
-    "abs": "abs",
-    "clamp": "__clamp",
+    **{
+        f"__math_{name}": fn
+        for name, fn in semantics.SCALAR_BUILTINS.items()
+    },
 }
 
 # Work-item builtin -> variable prefix used in generated code.
@@ -211,18 +164,11 @@ class _FnCompiler:
         left = self.expr(e.left)
         right = self.expr(e.right)
         op = e.op
-        if op == "/":
-            if lk == ir.INT and rk == ir.INT:
-                return f"__idiv({left}, {right})"
-            if ir.FLOAT in (lk, rk):
-                return f"({left} / {right})"
-            return f"__div({left}, {right})"
-        if op == "%":
-            if lk == ir.INT and rk == ir.INT:
-                return f"__imod({left}, {right})"
-            if ir.FLOAT in (lk, rk):
-                return f"__fmod({left}, {right})"
-            return f"__mod({left}, {right})"
+        if op in ("/", "%"):
+            # validate() admits only int and float operands here.
+            kind = "i" if lk == ir.INT and rk == ir.INT else "f"
+            stem = "div" if op == "/" else "mod"
+            return f"__{kind}{stem}({left}, {right})"
         if op in ("&&", "||"):
             # Python's and/or return an operand; OpenCL C gives 0 or 1.
             if lk != ir.BOOL:
@@ -237,8 +183,8 @@ class _FnCompiler:
         if name in ir.WORKITEM_BUILTINS:
             return self._workitem_ref(e)
         args = ", ".join(self.expr(a) for a in e.args)
-        if name in _MATH_NAME:
-            return f"{_MATH_NAME[name]}({args})"
+        if name in ir.MATH_BUILTINS:
+            return f"__math_{name}({args})"
         target = self.module.functions.get(name)
         if target is None:
             raise KirError(f"codegen: unknown function {name!r}")
@@ -405,13 +351,7 @@ class _FnCompiler:
 
 
 def _kind(e: ir.Expr) -> Optional[str]:
-    if isinstance(e.type, ir.ScalarType):
-        return e.type.kind
-    if isinstance(e, ir.Const):
-        if isinstance(e.value, bool):
-            return ir.BOOL
-        return ir.INT if isinstance(e.value, int) else ir.FLOAT
-    return None
+    return e.type.kind if isinstance(e.type, ir.ScalarType) else None
 
 
 def _zero_literal(typ: ir.Type) -> str:

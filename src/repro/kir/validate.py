@@ -4,7 +4,8 @@ Front ends are expected to produce well-typed IR; the validator is the
 safety net that catches compiler bugs before execution.  It checks:
 
 * every variable reference is in scope;
-* expression nodes carry types consistent with their operands;
+* expression nodes carry types consistent with their operands, and
+  both operands of ``/`` and ``%`` are typed ``int`` or ``float``;
 * barriers appear only in kernels, and never inside helper functions;
 * ``local`` declarations appear only in kernels and have a size;
 * kernels return void and have scalar-or-array params;
@@ -150,6 +151,16 @@ class _Validator:
                 raise KirValidationError(f"bad binary op {e.op!r}")
             self._check_expr(e.left, scope)
             self._check_expr(e.right, scope)
+            if e.op in ("/", "%"):
+                # The engines pick C int or IEEE float semantics from
+                # these types.
+                for side in (e.left, e.right):
+                    kind = getattr(side.type, "kind", None)
+                    if kind not in (ir.INT, ir.FLOAT):
+                        raise KirValidationError(
+                            f"operator {e.op!r} needs int or float "
+                            f"operands, got {side.type}"
+                        )
             return
         if isinstance(e, ir.UnOp):
             if e.op not in ir.UNARY_OPS:

@@ -21,6 +21,7 @@ from typing import Any, Iterator, Optional
 
 from ..errors import AccError
 from .. import kcache, kir
+from ..kir import semantics
 from ..kir.interp import Interpreter
 from ..opencl import Buffer, CommandQueue, Context, CostLedger, Device
 from ..opencl.dispatch import dispatch_kernel_ns
@@ -33,10 +34,11 @@ from .compiler import AccModule, DataRegion, LoopRegion, compile_acc
 #: Shared with the single-threaded baselines via the harness.
 HOST_OPS_PER_NS = 10.0
 
+#: Combines the gangs' partial results with the kernels' own operators.
 _REDUCE_COMBINE = {
-    "min": min,
-    "max": max,
-    "+": lambda a, b: a + b,
+    "min": semantics.SCALAR_BUILTINS["min"],
+    "max": semantics.SCALAR_BUILTINS["max"],
+    "+": semantics.BINOPS["+"],
 }
 
 
@@ -120,6 +122,7 @@ class _AccExecutor(Interpreter):
             buf = self.resident.get(id(host))
             if buf is not None:
                 self.queue.enqueue_read_buffer(buf, host)
+        self.queue.finish()
         for name in region.copy + region.copyin + region.copyout:
             host = self._array(name, env)
             buf = self.resident.pop(id(host), None)
@@ -173,26 +176,32 @@ class _AccExecutor(Interpreter):
                 gsz = trip * max(0, stop1 - start1)
             lsz = min(region.local_size, self.device.spec.max_work_group_size)
             gsz_padded = _round_up(gsz, lsz)
-            ns = dispatch_kernel_ns(
-                runner, self.device.spec, args, [gsz_padded], [lsz]
+            self._launch(
+                runner, args, gsz_padded, lsz,
+                global_size=gsz_padded, local_size=lsz,
             )
-            start = self.device.schedule_ns(self.context.clock.now_ns, ns)
-            self.context.charge(
-                "kernel",
-                ns,
-                name=f"acc:{region.kernel_name}",
-                track=f"device/{self.device.name}",
-                ts_ns=start,
-                args={"global_size": gsz_padded, "local_size": lsz},
-            )
-            with self.context.ledger._lock:
-                self.context.ledger.kernel_launches += 1
 
         # Per-region copy-out for non-resident arrays.
         for name, host, buf, readback in temp_buffers:
             if readback:
                 self.queue.enqueue_read_buffer(buf, host)
             buf.release()
+        # A region without ``async`` returns to the host when it is done.
+        self.queue.finish()
+
+    def _launch(
+        self, runner: kir.KernelRunner, args: list, gsz: int, lsz: int,
+        **span_args,
+    ) -> None:
+        """Run a region kernel and record it, priced, on the queue, which
+        places it after the transfers enqueued before it."""
+        ns = dispatch_kernel_ns(runner, self.device.spec, args, [gsz], [lsz])
+        self.queue.enqueue_priced_kernel(
+            runner.name, ns,
+            reads=[a.id for a in args if isinstance(a, Buffer)],
+            writes=[args[i].id for i in runner.written_param_indices],
+            **span_args,
+        )
 
     def _run_reduction(
         self,
@@ -225,18 +234,7 @@ class _AccExecutor(Interpreter):
         )
         self.queue.enqueue_write_buffer(partial, partial_host)
         args = list(args) + [partial]
-        ns = dispatch_kernel_ns(runner, self.device.spec, args, [gangs], [1])
-        start = self.device.schedule_ns(self.context.clock.now_ns, ns)
-        self.context.charge(
-            "kernel",
-            ns,
-            name=f"acc:{region.kernel_name}",
-            track=f"device/{self.device.name}",
-            ts_ns=start,
-            args={"gangs": gangs},
-        )
-        with self.context.ledger._lock:
-            self.context.ledger.kernel_launches += 1
+        self._launch(runner, args, gangs, 1, gangs=gangs)
         self.queue.enqueue_read_buffer(partial, partial_host)
         partial.release()
         combine = _REDUCE_COMBINE[op]

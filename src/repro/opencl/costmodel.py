@@ -190,11 +190,9 @@ class ScheduleTimeline:
     everything priced on one :class:`SimClock` onto a **shared origin**
     so a measured run has a single end-to-end wall-time axis:
 
-    * **serial work** — host API calls, VM bytecode, and device charges
-      that never pass through a command queue (the OpenACC runtime's
-      synchronous dispatches) — occupies the host cursor sequentially:
-      each charge covers ``[host_pos, host_pos + ns)`` and advances the
-      cursor;
+    * **serial work** — host API calls and VM bytecode — occupies the
+      host cursor sequentially: each charge covers
+      ``[host_pos, host_pos + ns)`` and advances the cursor;
     * **queue commands** are *placed* by their queue at their composed
       coordinates (``Event.e2e_start_ns`` / ``e2e_end_ns``): released
       no earlier than the host cursor at enqueue time, then subject to

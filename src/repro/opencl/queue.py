@@ -793,9 +793,12 @@ class CommandQueue:
         The multi-device dispatcher executes an NDRange once, prices
         each device's slice separately, and lands each share here so the
         per-device ledgers, event timelines and hazard tables all see
-        the split parts.  Fault decisions for split shares are taken by
-        the dispatcher itself (before pricing), so this path only
-        refuses lost devices.
+        the split parts.  The OpenACC runtime records each region kernel
+        it ran here too, so the kernel is placed after the region's
+        uploads like any other command.  Fault decisions for split
+        shares are taken by the dispatcher itself (before pricing), and
+        OpenACC kernels take none, so this path only refuses lost
+        devices.
         """
         self._check_open()
         self._flush_if_pending("sync")

@@ -4,7 +4,10 @@ Executes :class:`~repro.ensemble.bytecode.CompiledProgram` objects: one
 thread per actor interpreting that actor's behaviour bytecode in a loop
 (paper Section 5), channels mapped onto the runtime's typed ports, and
 ``invokenative``-style operations for printing, math, and the OpenCL
-wrappers (Section 6.2.2).
+wrappers (Section 6.2.2).  ``/``, ``%`` and the math natives mean what
+they mean in kernels (:mod:`repro.kir.semantics`): C ``int`` division,
+and IEEE ``real`` division, which is also what the paper's JVM-derived
+interpreter computes for ``double``.
 
 An ``opencl`` actor's ``DISPATCH`` flattens the received data value into
 a ``{parameter: value}`` dict (scalar fields as one-element carriers)
@@ -21,7 +24,6 @@ this is the paper's interpreter overhead, visible as the larger
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 from contextlib import nullcontext
@@ -35,7 +37,7 @@ from ..ensemble.bytecode import (
     CompiledProgram,
     KernelPlan,
 )
-from ..kir.interp import c_idiv, c_imod
+from ..kir import semantics
 from ..opencl import CostLedger
 from ..opencl import faults
 from ..opencl.context import current_clock
@@ -59,21 +61,6 @@ BYTECODE_NS = 4.0
 #: single-threaded/OpenACC hosts are priced at (~6 simple ops per
 #: element at 10 ops/ns).
 FILL_NS = 0.6
-
-_MATH_NATIVES = {
-    "sqrt": math.sqrt,
-    "fabs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "pow": math.pow,
-    "floor": lambda x: float(math.floor(x)),
-    "ceil": lambda x: float(math.ceil(x)),
-    "fmin": min,
-    "fmax": max,
-    "atan2": math.atan2,
-}
 
 
 def _close_reachable_ports(values: list) -> None:
@@ -578,7 +565,7 @@ class EnsembleVM:
             return self.rng.randrange(max(1, args[0]))
         if name == "clockMillis":
             return int(self.clock.now_ns // 1_000_000)
-        fn = _MATH_NATIVES.get(name)
+        fn = semantics.SCALAR_BUILTINS.get(name)
         if fn is None:
             raise VMError(f"unknown native {name!r}")
         return fn(*args)
@@ -676,33 +663,17 @@ def _kernel_args(plan: KernelPlan, data: Any) -> tuple[dict, list]:
     return args, carriers
 
 
+#: The VM's binary operators: kernel arithmetic plus Ensemble's
+#: ``and`` and ``or``.
+_BINOPS = {
+    **semantics.BINOPS,
+    "and": lambda left, right: bool(left) and bool(right),
+    "or": lambda left, right: bool(left) or bool(right),
+}
+
+
 def _binop(op: str, left: Any, right: Any) -> Any:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if isinstance(left, int) and isinstance(right, int):
-            return c_idiv(left, right)
-        return left / right
-    if op == "%":
-        return c_imod(left, right)
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "and":
-        return bool(left) and bool(right)
-    if op == "or":
-        return bool(left) or bool(right)
-    raise VMError(f"unknown operator {op!r}")
+    fn = _BINOPS.get(op)
+    if fn is None:
+        raise VMError(f"unknown operator {op!r}")
+    return fn(left, right)

@@ -62,6 +62,8 @@ class TestExpressions:
     def test_math_builtins(self):
         assert run(single_actor("printReal(sqrt(9.0));")) == "3.0"
         assert run(single_actor("printReal(fmax(1.0, 2.5));")) == "2.5"
+        # A float builtin converts an int argument: floor(7) is 7.0.
+        assert run(single_actor("printReal(floor(7) / 2);")) == "3.5"
 
     def test_conversions(self):
         body = "printInt(realToInt(3.7)); printReal(intToReal(2));"

@@ -82,6 +82,25 @@ CASES = {
         "f",
         lambda: [3, 5],
     ),
+    # As in C, a logic result converts to int or float without a cast.
+    "logic_converts": (
+        "int f(int a, int b) { int c = a && b; float d = a || b;"
+        " return c * 10 + (int)d; }",
+        "f",
+        lambda: [3, 0],
+    ),
+    # IEEE 754, as OpenCL requires: inf and NaN results, never an error.
+    "ieee_floats": (
+        """
+        void f(__global int *out, float x) {
+            out[0] = (int)(x / 0.0 > 1e300);
+            out[1] = (int)(sqrt(-x) != sqrt(-x));
+            out[2] = (int)(x % 0.0 != x % 0.0);
+        }
+        """,
+        "f",
+        lambda: [[0, 0, 0], 2.5],
+    ),
     "math": (
         """
         float f(float x) {

@@ -4,7 +4,7 @@ import pytest
 
 from repro import kir
 from repro.errors import KirRuntimeError
-from repro.kir.interp import c_idiv, c_imod
+from repro.kir.semantics import idiv, imod
 
 
 class TestCArithmetic:
@@ -13,18 +13,18 @@ class TestCArithmetic:
         [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3), (0, 5, 0)],
     )
     def test_idiv_truncates_toward_zero(self, a, b, q):
-        assert c_idiv(a, b) == q
+        assert idiv(a, b) == q
 
     @pytest.mark.parametrize(
         "a, b, r",
         [(7, 2, 1), (-7, 2, -1), (7, -2, 1), (-7, -2, -1)],
     )
     def test_imod_sign_follows_dividend(self, a, b, r):
-        assert c_imod(a, b) == r
+        assert imod(a, b) == r
 
     def test_idiv_by_zero_raises(self):
         with pytest.raises(KirRuntimeError):
-            c_idiv(1, 0)
+            idiv(1, 0)
 
 
 def _fn(name, params, ret, body, is_kernel=False):

@@ -1,0 +1,64 @@
+"""One definition of kernel arithmetic: for every math builtin and for
+float ``/`` and ``%``, the scalar form the Interpreter, the scalar tier
+and the VM call gives the same bits as the vector form the vec tier
+calls, whatever the lane position of a value in the array."""
+
+import itertools
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.kir import semantics
+
+EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310,
+    1.0, -1.0, 1e308, -1e308,
+]
+FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(width=64))
+#: every combination of these is checked once per operation
+GRID = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 2.5]
+
+#: operation -> (arity, scalar form, vector form)
+OPS = {
+    name: (
+        len(kinds),
+        semantics.SCALAR_BUILTINS[name],
+        semantics.VECTOR_BUILTINS[name],
+    )
+    for name, (kinds, _, _) in semantics.BUILTINS.items()
+}
+OPS["/"] = (2, semantics.fdiv, semantics.vfdiv)
+OPS["%"] = (2, semantics.fmod, semantics.vfmod)
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Bit equality, except that any NaN equals any NaN; ±0 differ."""
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@settings(max_examples=20, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(FLOATS, FLOATS, FLOATS), min_size=1, max_size=24
+    )
+)
+@example(rows=list(itertools.product(GRID, repeat=3)))
+def test_scalar_form_equals_vector_form(op, rows):
+    arity, scalar, vector = OPS[op]
+    # Repeat the rows so each value also sits at other lane positions
+    # (inside a SIMD block and in the tail).
+    lanes = [row[:arity] for row in rows] * (1 + 40 // len(rows))
+    columns = [np.array(col, dtype=np.float64) for col in zip(*lanes)]
+    with np.errstate(all="ignore"):
+        got = vector(*columns)
+    for row, value in zip(lanes, got):
+        want = scalar(*row)
+        assert same_bits(want, float(value)), (op, row, want, value)
+

@@ -176,6 +176,15 @@ class TestStores:
             kir.validate(module_with(fn))
 
 
+class TestDivision:
+    @pytest.mark.parametrize("op", ["/", "%"])
+    def test_operands_must_be_typed_int_or_float(self, op):
+        # The engines choose C int or IEEE float semantics by type.
+        fn = func([kir.Return(kir.BinOp(op, kir.Const(True), kir.Const(2)))])
+        with pytest.raises(KirValidationError, match="int or float"):
+            kir.validate(module_with(fn))
+
+
 class TestAnalysisHelpers:
     def test_written_and_read_arrays(self):
         a = kir.Param("a", kir.ArrayType(kir.FLOAT_T))

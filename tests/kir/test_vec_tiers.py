@@ -203,6 +203,17 @@ __kernel void logic(__global int *out, int a, int b) {
 }
 """
 
+# OpenCL floats are IEEE 754: x / 0.0 is inf, sqrt of a negative and
+# fmod by zero are NaN, on every tier.
+IEEE_FLOATS = """
+__kernel void ieee(__global int *out, float x) {
+    int i = get_global_id(0);
+    float y = x + (float)i;
+    out[i] = (int)(y / 0.0 > 1e300) + 2 * (int)(sqrt(-y) != sqrt(-y))
+        + 4 * (int)(y % 0.0 != y % 0.0);
+}
+"""
+
 HELPER_IN_LOOP_COND = """
 int step_of(int x) { return x % 3 + 1; }
 __kernel void strider(__global int *out, int n) {
@@ -345,6 +356,7 @@ class TestLedgerTotals:
         (BREAK_CONTINUE, "bc", [24], 1, "int"),
         (INLINED_HELPERS, "rank", [7], 2, "int"),
         (LOGIC_VALUES, "logic", [3, 5], 1, "int"),
+        (IEEE_FLOATS, "ieee", [-3.0], 1, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))

@@ -1,9 +1,12 @@
 """Pragma compiler + executor behaviour."""
 
+import importlib
+
 import pytest
 
 from repro.errors import AccUnsupportedError
 from repro.openacc import AccProgram, compile_acc
+from repro.opencl.context import fresh_clock
 
 
 class TestRegionClassification:
@@ -274,3 +277,27 @@ class TestExecution:
         AccProgram(source, "GPU").run("doubleit", [a1, 4])
         AccProgram(source, "CPU").run("doubleit", [a2, 4])
         assert a1 == a2 == [2.0, 4.0, 6.0, 8.0]
+
+
+class TestComposedTimeline:
+    """Regions without ``async`` are synchronous: their kernels and
+    transfers go through one in-order queue, and each region returns to
+    the host only when its work is done."""
+
+    # Every app's OpenACC variant but docrank on the GPU, which the
+    # pragma compiler rejects (the paper's PGI failure).
+    @pytest.mark.parametrize("app, device_type", [
+        (app, device_type)
+        for app in ("docrank", "lud", "mandelbrot", "matmul", "reduction")
+        for device_type in ("GPU", "CPU")
+        if (app, device_type) != ("docrank", "GPU")
+    ])
+    def test_elapsed_equals_busy_total(self, app, device_type):
+        runner = importlib.import_module(f"repro.apps.{app}").run_openacc
+        with fresh_clock() as clock:
+            outcome = runner(device_type=device_type)
+            attribution = clock.timeline.attribution()
+            elapsed = clock.timeline.elapsed_ns
+        assert attribution["overlap"] == 0.0
+        assert attribution["idle"] == 0.0
+        assert elapsed == pytest.approx(outcome.total_ns, rel=1e-12)

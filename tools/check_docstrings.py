@@ -44,6 +44,7 @@ REQUIRED = [
     os.path.join("src", "repro", "opencl", "faults.py"),
     os.path.join("src", "repro", "kir", "fuse.py"),
     os.path.join("src", "repro", "kir", "npcodegen.py"),
+    os.path.join("src", "repro", "kir", "semantics.py"),
     os.path.join("src", "repro", "runtime", "vm.py"),
     os.path.join("src", "repro", "runtime", "residency.py"),
     os.path.join("src", "repro", "openacc", "runtime.py"),
