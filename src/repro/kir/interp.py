@@ -266,7 +266,7 @@ class Interpreter:
         if isinstance(e, ir.Cast):
             v = self._eval(e.operand, env, wi)
             if e.target.kind == ir.INT:
-                return int(v)
+                return semantics.ftoi(v) if isinstance(v, float) else int(v)
             if e.target.kind == ir.FLOAT:
                 return float(v)
             return bool(v)

@@ -25,7 +25,7 @@ Three escalating capabilities make almost every kernel eligible:
   renaming), charging exactly the ops the scalar engine charges.
 * **Cooperative barrier phases** — group-mode kernels (barriers /
   ``__local`` arrays) execute with local memory materialised as
-  ``(num_groups, size)`` numpy buffers.  Every statement already runs
+  ``(size, num_groups)`` numpy buffers.  Every statement already runs
   in lock-step across all lanes, so ``barrier()`` itself emits nothing;
   eligibility restricts barriers to dispatch-uniform control flow so
   the scalar engine would never diagnose divergence either.
@@ -56,14 +56,18 @@ tests assert this.  Both passes above are charging-equivalent by
 construction: charges derive from static IR costs, never from the
 numpy expressions actually emitted.
 
+A ``?:`` arm or the right operand of ``&&``/``||`` that holds an array
+load or an integer division runs under a guard mask, on the lanes the
+scalar engine evaluates it on, so it faults exactly when the scalar
+engine does.
+
 Kernels the tier still refuses (reason strings surface as
 ``dispatch.fallback.<reason>`` trace counters): non-variable array
 bases (``array-expr``), variant array sizes (``array-size``), local
 arrays declared below the kernel's top level (``local-array``),
 barriers under divergent control flow or early return in a barrier
-kernel (``barrier``), impure or recursive user calls (``user-call``),
-and division or loads inside speculatively evaluated select /
-short-circuit operands (``speculative``).
+kernel (``barrier``), and impure or recursive user calls
+(``user-call``).
 
 Known semantic deltas of the vector tier (documented, none observable
 in race-free kernels): int64 wrap-around instead of Python big ints,
@@ -149,10 +153,21 @@ def _vload(arr: Any, idx: Any, m: Any):
 
 
 def _vload2(arr: Any, rows: Any, idx: Any, m: Any):
-    """Gather each work-item's slot from its private/local-array row."""
+    """Read each work-item's slot of a private or ``__local`` array.
+
+    Both are slot-major, ``(size, columns)``.  *rows* holds each lane's
+    column (``__lin`` or ``__grow``), or is None for a private array
+    accessed at full width, where lane *k* owns column *k*.  There a
+    uniform index reads one contiguous row, copied so that a later
+    store cannot change a value already read.
+    """
+    if rows is None:
+        if not _is_arr(idx):
+            return arr[idx].copy()
+        rows = _np.arange(arr.shape[1])
     if m is not None and _is_arr(idx):
         idx = _np.where(m, idx, 0)
-    return arr[rows, idx]
+    return arr[idx, rows]
 
 
 def _vstore(arr: Any, idx: Any, val: Any, m: Any) -> None:
@@ -178,14 +193,25 @@ def _vstore(arr: Any, idx: Any, val: Any, m: Any) -> None:
 
 
 def _vstore2(arr: Any, rows: Any, idx: Any, val: Any, m: Any) -> None:
-    """Scatter into per-item private (or per-group local) array rows."""
+    """Write each work-item's slot of a private or ``__local`` array
+    (*rows* as in :func:`_vload2`)."""
+    if rows is None:
+        if not _is_arr(idx):
+            if m is None:
+                arr[idx] = val
+            else:
+                # putmask casts "safe", assignment "unsafe": convert
+                # first, as the assignment would.
+                row = arr[idx]
+                _np.putmask(row, m, _np.asarray(val, row.dtype))
+            return
+        rows = _np.arange(arr.shape[1])
     if m is None:
-        arr[rows, idx] = val
+        arr[idx, rows] = val
         return
-    r = rows[m] if _is_arr(rows) else rows
     i = idx[m] if _is_arr(idx) else idx
     v = val[m] if _is_arr(val) else val
-    arr[r, i] = v
+    arr[i, rows[m]] = v
 
 
 # -- lane compaction runtime ------------------------------------------------
@@ -311,13 +337,18 @@ def _namespace_base() -> dict[str, Any]:
 
 def _unsafe_speculative(e: ir.Expr) -> bool:
     """True if evaluating *e* on lanes that would not evaluate it in the
-    scalar engine can fault: division/modulo (zero) and array loads
-    (out-of-range index).  numpy evaluates both arms of a select and
-    both sides of ``&&``/``||``, so such expressions are only safe in
-    positions the scalar engine also evaluates unconditionally."""
+    scalar engine can fault: it holds an array load (an out-of-range
+    index) or an integer ``/`` or ``%`` (a zero divisor).  Such a ``?:``
+    arm or short-circuit right operand is evaluated under a guard mask
+    (:meth:`_VecCompiler._guarded`)."""
     return any(
-        (isinstance(n, ir.BinOp) and n.op in ("/", "%"))
-        or isinstance(n, ir.Index)
+        isinstance(n, ir.Index)
+        or (
+            isinstance(n, ir.BinOp)
+            and n.op in ("/", "%")
+            and _kind(n.left) == ir.INT
+            and _kind(n.right) == ir.INT
+        )
         for n in ir.walk_exprs(e)
     )
 
@@ -532,14 +563,6 @@ def _body_reason(
                 reason = _call_reason(module, e, stack)
                 if reason:
                     return reason
-            if isinstance(e, ir.Select) and (
-                _unsafe_speculative(e.if_true)
-                or _unsafe_speculative(e.if_false)
-            ):
-                return "speculative"
-            if isinstance(e, ir.BinOp):
-                if e.op in ("&&", "||") and _unsafe_speculative(e.right):
-                    return "speculative"
     return None
 
 
@@ -597,12 +620,16 @@ class _VecCompiler:
         self.scopes: list[dict[str, str]] = []
         #: per-scope variant-variable sets (kernel's own at index 0)
         self.variants: list[set[str]] = [variant]
-        #: resolved 2-D array name -> row-index variable
+        #: resolved private/``__local`` array name -> the variable
+        #: holding each lane's column (``__lin`` or ``__grow``)
         self.rowed: dict[str, str] = {}
         #: return contexts: {'depth', 'ret'} (kernel level at index 0
         #: when the kernel body contains Return)
         self.inline_ctx: list[dict] = []
         self.inline_stack: list[str] = []
+        #: id of a user call lifted out of a guarded operand -> the
+        #: variable holding its result (see :meth:`_guarded`)
+        self.lifted: dict[int, str] = {}
         #: True once any masked loop was emitted (the iteration cap can
         #: fire at runtime, so dispatch snapshots written buffers)
         self.has_masked_loops = False
@@ -650,13 +677,32 @@ class _VecCompiler:
     def _expr_variant(self, e: Optional[ir.Expr]) -> bool:
         return _make_expr_variant(self.module, self.variants[-1])(e)
 
-    def add_ops(self, n: int) -> None:
-        if self.mask is None:
-            self.em.emit(f"__ops += {n}")
+    def add_ops(self, n: int, mask: Optional[str] = None) -> None:
+        """Charge *n* ops to the lanes of *mask* (default: the current
+        mask).  Without a mask the code runs at full width with every
+        lane live, so the charge is one constant for every lane: it is
+        summed in the Python int ``__opk``, which joins ``__ops`` once,
+        before the kernel returns."""
+        mask = mask or self.mask
+        if mask is None:
+            self.em.emit(f"__opk += {n}")
+        elif n == 1:
+            self.em.emit(f"__ops += {mask}")
         else:
             # bool * int broadcast beats boolean fancy indexing by an
             # order of magnitude and is density-independent.
-            self.em.emit(f"__ops += {self.mask} * {n}")
+            self.em.emit(f"__ops += {mask} * {n}")
+
+    def _rows(self, base: str) -> Optional[str]:
+        """The *rows* argument of ``__vload2``/``__vstore2`` for array
+        *base*, or None for a global array.  A private array accessed
+        outside every compactible loop runs at full width, where lane
+        *k* owns column *k*: it passes ``None`` (inside such a loop,
+        compaction may have gathered ``__lin``)."""
+        row = self.rowed.get(base)
+        if row == "__lin" and len(self.widths) == 1:
+            return "None"
+        return row
 
     def _width(self) -> str:
         """The lane-count expression masks materialise at (the full
@@ -808,7 +854,7 @@ class _VecCompiler:
             assert isinstance(e.base, ir.Var)
             base = self.var(e.base.name)
             idx = self.expr(e.index)
-            row = self.rowed.get(base)
+            row = self._rows(base)
             if row is not None:
                 return f"__vload2({base}, {row}, {idx}, {self._m()})"
             return f"__vload({base}, {idx}, {self._m()})"
@@ -820,19 +866,67 @@ class _VecCompiler:
             return f"{fn}({inner})"
         if isinstance(e, ir.Select):
             c = self.expr(e.cond)
-            t = self.expr(e.if_true)
-            f = self.expr(e.if_false)
+            t = self._guarded(c, e.if_true)
+            f = self._guarded(f"__vnot({c})", e.if_false)
             return f"__vsel({c}, {t}, {f})"
         if isinstance(e, ir.Call):
             return self._call(e)
         raise KirRuntimeError(f"vec codegen: unknown expr {type(e).__name__}")
 
+    def _guarded(self, cond: str, e: ir.Expr) -> str:
+        """Emit *e* evaluated only on the lanes of the current mask where
+        *cond* holds, as the scalar engine evaluates a ``?:`` arm or the
+        right operand of ``&&``/``||``.  Only an operand that can fault
+        is guarded, and it is skipped when no lane passes: a uniform
+        index or divisor faults whatever the mask.
+
+        The scalar engine lifts user calls out of the expression and
+        runs them on every lane, so their inlined bodies are emitted
+        (and charged) before the guard, under the current mask."""
+        if not _unsafe_speculative(e):
+            return self.expr(e)
+        em = self.em
+        lifted = []
+        inner: set[int] = set()
+        for n in ir.walk_exprs(e):
+            if (
+                isinstance(n, ir.Call)
+                and n.name in self.module.functions
+                and id(n) not in self.lifted
+                and id(n) not in inner
+            ):
+                inner.update(id(x) for x in ir.walk_exprs(n))
+                self.lifted[id(n)] = self.expr(n)
+                lifted.append(id(n))
+        g = self.fresh_mask()
+        out = self.fresh("g")
+        guard = f"__vand({self.mask or 'True'}, {cond})"
+        em.emit(f"{g} = __vmask({guard}, {self._width()})")
+        em.emit(f"if {g}.any():")
+        em.indent += 1
+        self.masks.append(g)
+        self._cse_push()
+        em.emit(f"{out} = {self.expr(e)}")
+        self._cse_pop()
+        self.masks.pop()
+        em.indent -= 1
+        em.emit("else:")
+        em.emit(f"    {out} = {_ZERO[_kind(e)]}")
+        for key in lifted:
+            del self.lifted[key]
+        return out
+
     def _binop(self, e: ir.BinOp) -> str:
         lk = _kind(e.left)
         rk = _kind(e.right)
         left = self.expr(e.left)
-        right = self.expr(e.right)
         op = e.op
+        if op == "&&":
+            right = self._guarded(left, e.right)
+        elif op == "||":
+            right = self._guarded(f"__vnot({left})", e.right)
+        else:
+            right = self.expr(e.right)
         if op in ("/", "%"):
             # validate() admits only int and float operands here; only
             # int division can fault, so only it takes the mask.
@@ -857,6 +951,8 @@ class _VecCompiler:
         if e.name in ir.MATH_BUILTINS:
             args = ", ".join(self.expr(a) for a in e.args)
             return f"__math_{e.name}({args})"
+        if id(e) in self.lifted:
+            return self.lifted[id(e)]
         return self._inline_call(e)
 
     def _inline_call(self, e: ir.Call) -> str:
@@ -948,16 +1044,18 @@ class _VecCompiler:
                 size = self.expr(st.size)
                 dtype = _NP_DTYPE_OF[st.type.element.kind]
                 name = self.var(st.name)
+                # Slot-major: slot s of every lane is one row, and
+                # column k belongs to lane (or group) k.
                 if st.type.space == ir.LOCAL:
                     em.emit(
                         f"{name} = "
-                        f"__np.zeros((__ngroups, {size}), dtype={dtype})"
+                        f"__np.zeros(({size}, __ngroups), dtype={dtype})"
                     )
                     self.rowed[name] = "__grow"
                 else:
                     em.emit(
                         f"{name} = "
-                        f"__np.zeros((__n, {size}), dtype={dtype})"
+                        f"__np.zeros(({size}, __n), dtype={dtype})"
                     )
                     self.rowed[name] = "__lin"
             elif st.init is not None:
@@ -972,7 +1070,7 @@ class _VecCompiler:
             base = self.var(st.base.name)
             idx = self.expr(st.index)
             val = self.expr(st.value)
-            row = self.rowed.get(base)
+            row = self._rows(base)
             if row is not None:
                 em.emit(
                     f"__vstore2({base}, {row}, {idx}, {val}, {self._m()})"
@@ -1293,7 +1391,7 @@ class _VecCompiler:
             self.widths.append(fr["cw"])
         # Every still-active lane performs the check (and pays for it,
         # including the final failing one — exactly the scalar charge).
-        em.emit(f"__ops += {act} * {cost}")
+        self.add_ops(cost, act)
         self.masks.append(act)
         cond = self.expr(st.cond)
         self.masks.pop()
@@ -1349,7 +1447,7 @@ class _VecCompiler:
             self.widths.append(fr["cw"])
         # The scalar range loop charges +2 per entered iteration; the
         # failing range check is free.
-        em.emit(f"__ops += {act} * 2")
+        self.add_ops(2, act)
         self._enter_loop_body(st.body, act)
         em.emit(f"{var} = {var} + {step_v}")
         em.emit(f"{act} = {act} & __vmask({in_range}, {self._width()})")
@@ -1382,7 +1480,11 @@ class _VecCompiler:
 
 
 def _vint(x: Any):
-    return x.astype(_np.int64) if _is_arr(x) else int(x)
+    if _is_arr(x):
+        if x.dtype.kind == "f":
+            return semantics.vftoi(x)
+        return x.astype(_np.int64)
+    return semantics.ftoi(x) if isinstance(x, float) else int(x)
 
 
 def _vfloat(x: Any):
@@ -1426,7 +1528,7 @@ def _gen_vec_kernel(
         elif name == "get_group_id":
             em.emit(f"__grp{d} = __g{d} // __L{d}")
     if has_locals:
-        # Per-item row into the (num_groups, size) local-memory
+        # Per-item column of the (size, num_groups) local-memory
         # buffers: the group's flat index in the scalar engine's
         # group-major visit order.
         em.emit("__ngroups = __N0 * __N1 * __N2")
@@ -1435,6 +1537,7 @@ def _gen_vec_kernel(
             "+ __g0 // __L0"
         )
     em.emit("__ops = __np.zeros(__n, dtype=__np.int64)")
+    em.emit("__opk = 0")
     comp = _VecCompiler(module, fn, em, _variant_vars(module, fn))
     for d in sorted(id_used):
         comp.lane_arrays.append(f"__g{d}")
@@ -1451,6 +1554,7 @@ def _gen_vec_kernel(
         comp.masks.append("__live")
         comp.inline_ctx.append({"depth": 0, "ret": None})
     comp.block(fn.body)
+    em.emit("__ops += __opk")
     em.emit("return __ops")
     em.indent -= 1
     em.emit("")

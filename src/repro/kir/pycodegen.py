@@ -42,6 +42,7 @@ _GLOBALS_BASE: dict[str, Any] = {
     "__imod": semantics.imod,
     "__fdiv": semantics.fdiv,
     "__fmod": semantics.fmod,
+    "__ftoi": semantics.ftoi,
     "__kre": KirRuntimeError,
     **{
         f"__math_{name}": fn
@@ -145,6 +146,8 @@ class _FnCompiler:
             return f"{base}[{idx}]"
         if isinstance(e, ir.Cast):
             inner = self.expr(e.operand)
+            if e.target.kind == ir.INT and _kind(e.operand) == ir.FLOAT:
+                return f"__ftoi({inner})"
             pyname = {"int": "int", "float": "float", "bool": "bool"}[
                 e.target.kind
             ]

@@ -13,6 +13,10 @@ number of work-items.
   requires: ±inf or NaN, never an error.  Python's ``/`` and
   :func:`math.fmod` are exact, so the scalar forms try them first and
   fall back to numpy only when they raise.
+* Converting a ``float`` to ``int`` saturates, as OpenCL's
+  ``convert_long_sat`` and GPU hardware do: NaN converts to 0, a value
+  outside the int64 range to the nearer bound, anything else truncates
+  toward zero.  It has no error, so the lane form takes no mask.
 * The math builtins are one table, :data:`BUILTINS`, whose numpy
   functions are the definitions: the vector form applies one to lanes,
   and the scalar form applies it to scalars and returns ``.item()``.
@@ -92,6 +96,32 @@ def vimod(a: Any, b: Any, m: Any) -> Any:
 #: :func:`fdiv` and :func:`fmod` on lanes: numpy's are IEEE 754 already.
 vfdiv = np.true_divide
 vfmod = np.fmod
+
+
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+_TWO63 = 2.0**63
+
+
+def ftoi(x: float) -> int:
+    """``float`` to ``int``, saturating: NaN gives 0, a value outside
+    the int64 range its nearer bound; anything else truncates."""
+    if x != x:
+        return 0
+    if x >= _TWO63:
+        return INT_MAX
+    if x < -_TWO63:
+        return INT_MIN
+    return int(x)
+
+
+def vftoi(x: Any) -> Any:
+    """:func:`ftoi` on lanes."""
+    if not isinstance(x, np.ndarray):
+        return ftoi(x)
+    big = x >= _TWO63
+    small = x < -_TWO63
+    t = np.where(big | small | (x != x), 0.0, x).astype(np.int64)
+    return np.where(big, INT_MAX, np.where(small, INT_MIN, t))
 
 
 def _div(a: Any, b: Any) -> Any:

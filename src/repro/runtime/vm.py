@@ -494,7 +494,7 @@ class EnsembleVM:
         if name == "intToReal":
             return float(args[0])
         if name == "realToInt":
-            return int(args[0])
+            return semantics.ftoi(args[0])
         if name == "length":
             return length_of(args[0])
         if name == "fillPattern1D":

@@ -101,6 +101,20 @@ CASES = {
         "f",
         lambda: [[0, 0, 0], 2.5],
     ),
+    # float -> int saturates: NaN gives 0, out-of-range values the
+    # nearer int64 bound.
+    "float_to_int": (
+        """
+        void f(__global int *out, float y) {
+            out[0] = (int)(y / 0.0 - y / 0.0);
+            out[1] = (int)(y * 1e300);
+            out[2] = (int)(0.0 - y * 1e300);
+            out[3] = (int)(0.0 - y);
+        }
+        """,
+        "f",
+        lambda: [[0, 0, 0, 0], 2.5],
+    ),
     "math": (
         """
         float f(float x) {

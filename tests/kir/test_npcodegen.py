@@ -239,6 +239,71 @@ class TestWarpFolding:
         run_all_tiers(TWO_D_LOCAL, "weight", [w], [out], [w, h], [4, 4])
 
 
+PRIVATE_SLOTS = """
+__kernel void slots(__global int *out, int k) {
+    int i = get_global_id(0);
+    int s[4];
+    for (int j = 0; j < 4; j++) { s[j] = j * k; }
+    s[i % 4] = s[i % 4] + i;
+    if (i % 3 == 0) {
+        s[2] = s[1] + s[i % 4];
+    }
+    out[i] = s[0] + 10 * s[1] + 100 * s[2] + 1000 * s[3];
+}
+"""
+
+PRIVATE_IN_LOOP = """
+__kernel void hist(__global int *out) {
+    int i = get_global_id(0);
+    int h[5];
+    for (int j = 0; j < 5; j++) { h[j] = 0; }
+    int t = 0;
+    while (t < i % 9 + 1) {
+        h[t % 5] = h[t % 5] + t;
+        h[2] = h[2] + 1;
+        t = t + 1;
+    }
+    out[i] = h[0] + 7 * h[1] + 49 * h[2] + 343 * h[3] + 2401 * h[4];
+}
+"""
+
+READ_THEN_STORE = """
+__kernel void alias(__global float *out, int t) {
+    int i = get_global_id(0);
+    float p[4];
+    for (int j = 0; j < 4; j++) { p[j] = (float)(i + j); }
+    float x = p[t];
+    p[t] = x + 1.0;
+    out[i] = x;
+}
+"""
+
+
+class TestPrivateArrays:
+    """Private arrays agree across tiers in both access forms: a row of
+    every lane's slot under a uniform index at full width, and a
+    gather/scatter otherwise."""
+
+    def test_lane_varying_and_uniform_indices(self):
+        assert kernelc.build(PRIVATE_SLOTS).kernel_runner("slots").vec
+        n = 64
+        run_all_tiers(PRIVATE_SLOTS, "slots", [3], [[0] * n], [n], [8])
+
+    def test_read_and_written_in_a_compacted_loop(self, monkeypatch):
+        monkeypatch.setattr(npcodegen, "COMPACT_DENSITY", 1.0)
+        monkeypatch.setattr(npcodegen, "COMPACT_CHECK_EVERY", 1)
+        assert kernelc.build(PRIVATE_IN_LOOP).kernel_runner("hist").vec
+        before = npcodegen.thread_compact_stats()[0]
+        n = 64
+        run_all_tiers(PRIVATE_IN_LOOP, "hist", [], [[0] * n], [n], [8])
+        assert npcodegen.thread_compact_stats()[0] > before
+
+    def test_a_value_read_survives_a_store_to_its_slot(self):
+        assert kernelc.build(READ_THEN_STORE).kernel_runner("alias").vec
+        n = 32
+        run_all_tiers(READ_THEN_STORE, "alias", [2], [[0.0] * n], [n], [8])
+
+
 class TestEligibility:
     def test_barrier_kernel_group_mode_and_vectorised(self):
         source = """

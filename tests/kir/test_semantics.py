@@ -62,3 +62,47 @@ def test_scalar_form_equals_vector_form(op, rows):
         want = scalar(*row)
         assert same_bits(want, float(value)), (op, row, want, value)
 
+
+TWO63 = 2.0**63
+#: float -> int edges: NaN, ±inf, ±2**63 and their neighbours, subnormals
+CONVERSION_EDGES = [
+    math.nan, math.inf, -math.inf,
+    TWO63, math.nextafter(TWO63, 0.0), math.nextafter(TWO63, math.inf),
+    -TWO63, math.nextafter(-TWO63, 0.0), math.nextafter(-TWO63, -math.inf),
+    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    0.0, -0.0, 0.5, -0.5, -1.5, 2.5,
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from(CONVERSION_EDGES), st.floats(width=64)),
+        min_size=1, max_size=24,
+    )
+)
+@example(values=CONVERSION_EDGES)
+def test_float_to_int_scalar_form_equals_lane_form(values):
+    lanes = values * (1 + 40 // len(values))
+    got = semantics.vftoi(np.array(lanes, dtype=np.float64))
+    assert got.dtype == np.int64
+    for x, value in zip(lanes, got.tolist()):
+        want = semantics.ftoi(x)
+        assert type(want) is int and want == value, (x, want, value)
+
+
+@pytest.mark.parametrize("x,want", [
+    (math.nan, 0),
+    (math.inf, 2**63 - 1),
+    (-math.inf, -(2**63)),
+    (TWO63, 2**63 - 1),
+    (-TWO63, -(2**63)),
+    (math.nextafter(TWO63, 0.0), 2**63 - 1024),
+    (-2.9, -2),
+    (5e-324, 0),
+])
+def test_float_to_int_saturates(x, want):
+    """NaN converts to 0, out-of-range values clamp to the int64 bounds
+    and everything else truncates toward zero."""
+    assert semantics.ftoi(x) == want
+    assert semantics.vftoi(np.array([x])).tolist() == [want]

@@ -23,6 +23,7 @@ from repro.apps.reduction import sources as reduction_sources
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl.costmodel import group_warp_costs
+from repro.opencl.dispatch import VEC_MIN_ITEMS
 from repro.trace import tracing
 
 
@@ -214,6 +215,27 @@ __kernel void ieee(__global int *out, float x) {
 }
 """
 
+# A ?: arm or the right operand of && / || runs only on the lanes the
+# scalar engine evaluates it on: a is half the NDRange long, the false
+# arm divides by zero where the true arm is taken, and the last two
+# operands, a uniform out-of-range load and a uniform zero divisor,
+# are evaluated by no lane.  Like the scalar engine, the vec tier runs
+# (and charges) the helper call on every lane.
+GUARDED_OPERANDS = """
+int at(__global int *a, int k) { return a[k % 8] + 1; }
+__kernel void guards(__global int *out, __global int *a, int n, int z) {
+    int i = get_global_id(0);
+    int inside = i < n && a[i] + at(a, i) > 6;
+    int arms = i % 4 == 0 ? a[i / 2] : 7 / (i % 4);
+    float x = (float)(i % 5);
+    float r = i > 3 ? x / (float)i : 0.0;
+    int never = i < 0 && a[n * 4] / z > 0;
+    int always = i >= 0 || 10 / z > 0;
+    out[i] = inside + 2 * arms + 100 * (int)(r * 8.0) + 1000 * never
+        + 3000 * always;
+}
+"""
+
 HELPER_IN_LOOP_COND = """
 int step_of(int x) { return x % 3 + 1; }
 __kernel void strider(__global int *out, int n) {
@@ -357,33 +379,38 @@ class TestLedgerTotals:
         (INLINED_HELPERS, "rank", [7], 2, "int"),
         (LOGIC_VALUES, "logic", [3, 5], 1, "int"),
         (IEEE_FLOATS, "ieee", [-3.0], 1, "int"),
+        (GUARDED_OPERANDS, "guards", [256, 0], 2, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))
     def test_legacy_and_vec_price_identically(self, case, scalar_tier):
-        """The forced scalar tier and the vectorised tier price alike."""
+        """The forced scalar tier and the vectorised tier price alike,
+        and both store what the Interpreter stores.  An NDRange large
+        enough for the vectorised tier runs on it."""
         source, name, scalars, nbuf, dtype = self.SOURCES[case]
+        n = 512
+        if name == "rank":
+            docs, vocab = 64, scalars[0]
+            shapes = [docs * vocab, docs]
+            n = docs
+        elif name == "guards":
+            shapes = [n, n // 2]
+        else:
+            shapes = [n]
+        inputs = [[(i * 13) % 7 for i in range(size)]
+                  for size in shapes[:nbuf]]
         totals, contents = [], []
         for tier in (scalar_tier, contextlib.nullcontext):
-            with tier():
+            with tier(), tracing() as tr:
                 device = find_device("GPU")
                 ctx = Context([device])
                 queue = CommandQueue(ctx, device)
                 program = Program(ctx, source).build()
                 kernel = program.create_kernel(name)
-                n = 512
-                if name == "rank":
-                    docs, vocab = 64, scalars[0]
-                    shapes = [docs * vocab, docs]
-                    n = docs
-                else:
-                    shapes = [n]
                 bufs = []
-                for size in shapes[:nbuf]:
-                    buf = Buffer(ctx, size, dtype)
-                    queue.enqueue_write_buffer(
-                        buf, [(i * 13) % 7 for i in range(size)]
-                    )
+                for data in inputs:
+                    buf = Buffer(ctx, len(data), dtype)
+                    queue.enqueue_write_buffer(buf, data)
                     bufs.append(buf)
                 idx = 0
                 for buf in bufs:
@@ -396,8 +423,13 @@ class TestLedgerTotals:
                 queue.finish()
                 totals.append(ctx.ledger.kernel_ns)
                 contents.append([list(b.data) for b in bufs])
+        if n >= VEC_MIN_ITEMS:
+            assert tr.counter("dispatch.fallback") == 0
         assert totals[0] == totals[1]
         assert contents[0] == contents[1]
+        assert contents[1] == interp_buffers(
+            source, name, scalars, inputs, [n], [8]
+        )
 
 
 # -- active-lane compaction and loop-body CSE ------------------------------

@@ -170,3 +170,13 @@ class TestAppsKeepTheVectorisedTier:
             lud.run_actors(64)
         assert tr.counter("dispatch.fallback") == 128
         assert tr.counter("dispatch.fallback.small-ndrange") == 128
+
+    def test_lud_ensemble_demotes_only_small_ranges(self):
+        """The Ensemble update kernel's guard loads a scalar carrier to
+        the right of ``&&``; the guarded operand keeps it vectorised."""
+        from repro.apps import lud
+
+        with tracing() as tr:
+            lud.run_ensemble(32)
+        assert tr.counter("dispatch.fallback") == 64
+        assert tr.counter("dispatch.fallback.small-ndrange") == 64
