@@ -170,6 +170,15 @@ def _vload2(arr: Any, rows: Any, idx: Any, m: Any):
     return arr[idx, rows]
 
 
+def _vsel(cond: Any, if_true: Any, if_false: Any) -> Any:
+    """``cond ? if_true : if_false`` per lane.  Uniform operands give a
+    scalar, not ``np.where``'s 0-d array: a 0-d index is advanced
+    indexing (``arr[np.array(1)]`` is a copy, not a row), and a masked
+    store would index it with the lane mask."""
+    r = _np.where(cond, if_true, if_false)
+    return r if r.ndim else r[()]
+
+
 def _vstore(arr: Any, idx: Any, val: Any, m: Any) -> None:
     """Scatter into a global array with sequential-store semantics."""
     if m is None:
@@ -316,7 +325,7 @@ def _namespace_base() -> dict[str, Any]:
         "__vnot": _np.logical_not,
         "__vand": _np.logical_and,
         "__vor": _np.logical_or,
-        "__vsel": _np.where,
+        "__vsel": _vsel,
         "__kre": KirRuntimeError,
         "__CAP": LOOP_ITER_CAP,
         "__vcaperr": VecIterationCap,

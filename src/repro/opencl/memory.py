@@ -11,9 +11,12 @@ Each buffer stores its contents in one NumPy array and nowhere else.
 The vectorised kernel tier operates on that array directly, and the
 scalar tier indexes a ``memoryview`` of it.  Host data is converted
 only when a transfer is enqueued: a write slice-assigns into the array,
-and a read calls ``tolist()``.  ``Buffer.data`` is a read-only snapshot.
-Storage is a wall-clock concern only; simulated costs never depend on
-it.
+and a read calls ``tolist()``.  A write into a buffer that no kernel,
+copy or split has written since its last transfer first asks
+:meth:`Buffer.contents_equal` whether the array already holds the host
+values bit for bit, and skips the conversion when it does.
+``Buffer.data`` is a read-only snapshot.  Storage is a wall-clock
+concern only; simulated costs never depend on it.
 """
 
 from __future__ import annotations
@@ -72,11 +75,13 @@ class Buffer:
         self.released = False
         #: The buffer's one store (see :meth:`np_view`).
         self._np = _np.zeros(n_elements, dtype=_NP_DTYPES[dtype])
-        #: Transfer-elimination marker: ``(residency_epoch, device_id)``
-        #: of the last clean transfer that certified host and device
-        #: copies equal, or None once a kernel (or device-side copy) has
-        #: written the buffer.  Maintained by the queue layer; consulted
-        #: only when the graph-level optimiser is enabled.
+        #: Residency marker: ``(residency_epoch, device_id)`` of the
+        #: last transfer that certified host and device copies equal,
+        #: or None once a kernel, device-side copy or split has written
+        #: the buffer.  Maintained by the queue layer.  A host write
+        #: into a marked buffer probes :meth:`contents_equal` before it
+        #: converts; the graph-level optimiser elides the transfer when
+        #: the marker also matches its epoch and device.
         self._h2d_clean: Optional[tuple] = None
         if COPY_HOST_PTR in self.flags:
             if host_data is None:
@@ -101,11 +106,33 @@ class Buffer:
         return self.np_view().tolist()
 
     def contents_equal(self, values) -> bool:
-        """Whether the buffer currently holds exactly *values* (the
-        transfer-elimination pass's redundancy probe)."""
-        return len(values) == self.n_elements and (
-            self._np.tolist() == list(values)
-        )
+        """Whether the array already holds *values* bit for bit, so
+        writing them would change nothing: the queue's redundant-write
+        probe and the transfer-elimination pass's.
+
+        Reads the array itself, so the answer holds whatever wrote it
+        last.  Elements compare by Python ``==`` with ``tolist()``,
+        which for Python numbers and NumPy 64-bit scalars means equal
+        stored values (``1.0`` over an ``int`` 1 stores 1 again); a
+        ``float`` buffer's zeros also need equal sign bits.  A list is
+        compared in place, an ndarray through its own ``tolist()``.  A
+        NumPy float32 or float16 scalar inside a list compares at its
+        own precision, so it can equal a stored value that differs from
+        what writing it stores.
+        """
+        if len(values) != self.n_elements:
+            return False
+        if isinstance(values, _np.ndarray):
+            values = values.tolist()
+        elif type(values) is not list:
+            values = list(values)
+        if self._np.tolist() != values:
+            return False
+        if self.dtype != "float":
+            return True
+        zeros = _np.flatnonzero(self._np == 0.0)
+        host = _np.array([values[i] for i in zeros.tolist()], _np.float64)
+        return bool((_np.signbit(host) == _np.signbit(self._np[zeros])).all())
 
     def np_view(self):
         """The buffer's one NumPy array, not a copy: kernels and

@@ -236,6 +236,34 @@ __kernel void guards(__global int *out, __global int *a, int n, int z) {
 }
 """
 
+# A uniform ?: as an index: a private store under a divergent if, the
+# same store into a global array, and an unmasked global store (every
+# item stores to one slot, the last one wins).
+UNIFORM_SELECT_PRIVATE = """
+__kernel void selpriv(__global int *out, int n) {
+    int i = get_global_id(0);
+    int p[2];
+    p[0] = out[i];
+    p[1] = 0;
+    if (i % 2 == 0) { p[n > 3 ? 1 : 0] = i; }
+    out[i] = p[0] + 1000 * p[1];
+}
+"""
+
+UNIFORM_SELECT_MASKED = """
+__kernel void selmasked(__global int *out, int n) {
+    int i = get_global_id(0);
+    if (i % 2 == 0) { out[n > 3 ? 1 : 0] = i; }
+}
+"""
+
+UNIFORM_SELECT_STORE = """
+__kernel void selstore(__global int *out, int n) {
+    int i = get_global_id(0);
+    out[n > 3 ? 1 : 0] = i;
+}
+"""
+
 HELPER_IN_LOOP_COND = """
 int step_of(int x) { return x % 3 + 1; }
 __kernel void strider(__global int *out, int n) {
@@ -380,6 +408,9 @@ class TestLedgerTotals:
         (LOGIC_VALUES, "logic", [3, 5], 1, "int"),
         (IEEE_FLOATS, "ieee", [-3.0], 1, "int"),
         (GUARDED_OPERANDS, "guards", [256, 0], 2, "int"),
+        (UNIFORM_SELECT_PRIVATE, "selpriv", [5], 1, "int"),
+        (UNIFORM_SELECT_MASKED, "selmasked", [5], 1, "int"),
+        (UNIFORM_SELECT_STORE, "selstore", [5], 1, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))

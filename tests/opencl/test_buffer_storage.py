@@ -10,6 +10,9 @@ same typed error on either tier, on one device or split over two.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import configure
@@ -25,6 +28,7 @@ from repro.opencl import (
     find_device,
     reset_platforms,
 )
+from repro.opencl.context import fresh_clock
 from repro.opencl.costmodel import cpu_spec, gpu_spec
 from repro.opencl.platform import Device
 from repro.trace import tracing
@@ -115,6 +119,113 @@ class TestDataSnapshot:
                 queue.enqueue_nd_range_kernel(kernel, [N])
                 assert out.data == [9.0] * N
             assert tr.counter("dispatch.fuse.reject.host-observe") == 1
+
+
+def _gpu_queue():
+    device = find_device("GPU")
+    context = Context([device])
+    return context, CommandQueue(context, device)
+
+
+def _write_repeatedly(lists):
+    """Write each list in turn into one 4,096-element ``int`` buffer on
+    a fresh clock; returns the buffer's writes as ``(ts, dur)`` pairs,
+    the ledger, ``elapsed_ns`` and the probe's answers."""
+    answers = []
+    probe = Buffer.contents_equal
+
+    def spy(buf, values):
+        answers.append(probe(buf, values))
+        return answers[-1]
+
+    reset_platforms()
+    with fresh_clock() as clock, tracing() as tr, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Buffer, "contents_equal", spy)
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 4096, "int")
+        for data in lists:
+            queue.enqueue_write_buffer(buf, data)
+        queue.finish()
+        assert buf.data == lists[-1]
+    writes = [(s.ts_ns, s.dur_ns) for s in tr.spans if s.name == "WRITE_BUFFER"]
+    return writes, context.ledger, clock.timeline.elapsed_ns, answers
+
+
+class TestRedundantWrite:
+    """A host write the buffer already holds bit for bit skips the
+    list-to-array conversion.  The transfer is priced all the same, and
+    a write that would change any bit lands."""
+
+    def test_repeated_list_prices_like_fresh_lists(self):
+        data = [(i * 7) % 13 for i in range(4096)]
+        same = _write_repeatedly([data] * 16)
+        fresh = _write_repeatedly([list(data) for _ in range(16)])
+        changed = _write_repeatedly(
+            [[(i * 7 + k) % 13 for i in range(4096)] for k in range(16)]
+        )
+        assert same[3] == fresh[3] == [True] * 15
+        assert changed[3] == [False] * 15
+        for other in (fresh, changed):
+            writes, ledger, elapsed_ns, _ = other
+            assert len(writes) == 16
+            assert writes == same[0]
+            assert ledger.bytes_to_device == same[1].bytes_to_device
+            assert ledger.breakdown() == same[1].breakdown()
+            assert elapsed_ns == same[2] > 0
+
+    def test_list_mutated_in_place_lands(self):
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 4096, "int")
+        data = list(range(4096))
+        queue.enqueue_write_buffer(buf, data)
+        data[4095] = -1
+        queue.enqueue_write_buffer(buf, data)
+        assert buf.data == data
+
+    def test_kernel_output_is_overwritten_by_the_original_list(self):
+        queue, kernel, src, out = _square_setup()
+        host = [float(i) for i in range(N)]
+        queue.enqueue_write_buffer(src, host)
+        queue.enqueue_write_buffer(out, host)
+        queue.enqueue_nd_range_kernel(kernel, [N])
+        assert out.data[3] == 9.0
+        queue.enqueue_write_buffer(out, host)
+        assert out.data == host
+
+    def test_float_values_over_equal_ints_stay_ints(self):
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 2, "int")
+        queue.enqueue_write_buffer(buf, [1, 2])
+        queue.enqueue_write_buffer(buf, [1.0, 2.0])
+        assert buf.data == [1, 2]
+        assert [type(x) for x in buf.data] == [int, int]
+
+    def test_tuple_and_ndarray_land(self):
+        queue, _, src, _ = _square_setup()
+        queue.enqueue_write_buffer(src, [1.0] * N)
+        queue.enqueue_write_buffer(src, tuple([2.0] * N))
+        assert src.data == [2.0] * N
+        queue.enqueue_write_buffer(src, np.full(N, 0.1))
+        assert src.data == [0.1] * N
+        # float32 0.1 compares equal to 0.1 at float32 precision, but
+        # the write stores its exact value.
+        queue.enqueue_write_buffer(src, np.full(N, 0.1, dtype=np.float32))
+        assert src.data == [float(np.float32(0.1))] * N
+
+    @pytest.mark.parametrize(
+        "fusion", [False, pytest.param(True, marks=pytest.mark.fusion)]
+    )
+    def test_signed_zero_lands(self, fusion):
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 2)
+        with configure(fusion=fusion), tracing() as tr:
+            queue.enqueue_write_buffer(buf, [0.0, 1.0])
+            queue.enqueue_write_buffer(buf, [-0.0, 1.0])
+            assert math.copysign(1.0, buf.data[0]) == -1.0
+            queue.enqueue_write_buffer(buf, [0, 1])
+            assert math.copysign(1.0, buf.data[0]) == 1.0
+        assert tr.counter("dispatch.xfer_elim") == 0
 
 
 class TestReleaseFlushesFusion:

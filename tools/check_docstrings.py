@@ -42,6 +42,7 @@ REQUIRED = [
     os.path.join("src", "repro", "opencl", "fusion.py"),
     os.path.join("src", "repro", "opencl", "queue.py"),
     os.path.join("src", "repro", "opencl", "faults.py"),
+    os.path.join("src", "repro", "opencl", "memory.py"),
     os.path.join("src", "repro", "kir", "fuse.py"),
     os.path.join("src", "repro", "kir", "npcodegen.py"),
     os.path.join("src", "repro", "kir", "semantics.py"),
