@@ -1,14 +1,19 @@
-"""Tokeniser for Ensemble source text.
+"""Token table of the Ensemble language.
 
-Comments: ``//`` to end of line and ``/* ... */`` blocks.
-String literals use double quotes with ``\\n``/``\\t``/``\\"`` escapes.
+:mod:`repro.lexing` compiles the table below into the Ensemble scanner.
+Comments are ``//`` to end of line and ``/* ... */`` blocks.  String
+literals use double quotes with ``\\n``/``\\t``/``\\"``/``\\\\`` escapes
+(any other escaped character stands for itself) and hold no unescaped
+newline.  A number is a ``real`` only when a ``.`` and a digit follow
+its integer part, so ``0 .. 9`` stays a range; an exponent, which needs
+a digit, is read only after such a fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from ..errors import LexError
+from ..lexing import Rule, Scanner, Token
 
 KEYWORDS = frozenset(
     {
@@ -90,107 +95,29 @@ OPERATORS = (
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\([\s\S])")
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'id', 'kw', 'int', 'real', 'string', 'op', 'eof'
-    text: str
-    line: int
-    column: int
+def _unquote(literal: str) -> str:
+    """The text of a string literal, with its escapes resolved."""
+    return _ESCAPE.sub(
+        lambda m: _ESCAPES.get(m.group(1), m.group(1)), literal[1:-1]
+    )
+
+
+RULES = (
+    # A string literal is closed, cut by a newline or left open at the end.
+    Rule("string", _STRING_BODY + '"', text=_unquote),
+    Rule(None, _STRING_BODY + r"\n", error="newline in string literal"),
+    Rule(None, '"', error="unterminated string literal"),
+    Rule("real", r"[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?"),
+    Rule("int", r"[0-9]+"),
+)
+
+_SCANNER = Scanner(RULES, KEYWORDS, OPERATORS)
 
 
 def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col)
-            line += source.count("\n", i, end)
-            i = end + 2
-            nl = source.rfind("\n", 0, i)
-            line_start = nl + 1 if nl != -1 else 0
-            continue
-        if ch == '"':
-            j = i + 1
-            out: list[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    j += 1
-                    if j >= n:
-                        break
-                    out.append(_ESCAPES.get(source[j], source[j]))
-                elif source[j] == "\n":
-                    raise LexError("newline in string literal", line, col)
-                else:
-                    out.append(source[j])
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", line, col)
-            tokens.append(Token("string", "".join(out), line, col))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            # Careful: `0 .. 9` uses '..' — only a real if a single '.'
-            # is followed by a digit.
-            if (
-                j < n
-                and source[j] == "."
-                and j + 1 < n
-                and source[j + 1].isdigit()
-            ):
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-                tokens.append(Token("real", source[i:j], line, col))
-            else:
-                tokens.append(Token("int", source[i:j], line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in KEYWORDS else "id"
-            tokens.append(Token(kind, word, line, col))
-            i = j
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, 1))
-    return tokens
+    """Tokenise Ensemble *source*."""
+    return _SCANNER.scan(source)[0]

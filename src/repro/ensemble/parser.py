@@ -16,55 +16,20 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ParseError
+from ..lexing import TokenCursor
 from . import ast
-from .lexer import Token, tokenize
+from .lexer import tokenize
 
 _BASE_TYPES = ("integer", "real", "boolean", "string")
 
 
-class Parser:
+class Parser(TokenCursor):
     def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
-        self.pos = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        super().__init__(tokenize(source))
 
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
         return tok.kind == "kw" and tok.text in words
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
-            want = text if text is not None else kind
-            raise ParseError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
 
     # -- program ------------------------------------------------------------
 

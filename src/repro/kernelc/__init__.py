@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .. import kir
-from .lexer import Directive, Lexer, Token, tokenize  # noqa: F401
+from .lexer import scan, tokenize  # noqa: F401
 from .parser import Parser, parse  # noqa: F401
 from .typecheck import typecheck  # noqa: F401
 

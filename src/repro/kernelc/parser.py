@@ -18,7 +18,8 @@ from typing import Optional
 
 from ..errors import ParseError
 from .. import kir
-from .lexer import Lexer, Token
+from ..lexing import Token, TokenCursor
+from .lexer import scan
 
 _TYPE_KWS = ("int", "float", "bool", "void")
 _SPACE_KWS = {
@@ -30,47 +31,10 @@ _SPACE_KWS = {
 _ASSIGN_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}
 
 
-class Parser:
+class Parser(TokenCursor):
     def __init__(self, source: str) -> None:
-        lexer = Lexer(source)
-        self.tokens = lexer.tokens
-        self.directives = lexer.directives
-        self.pos = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.next()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise ParseError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}",
-                tok.line,
-                tok.column,
-            )
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        tokens, self.directives = scan(source)
+        super().__init__(tokens)
 
     # -- module ------------------------------------------------------------
 

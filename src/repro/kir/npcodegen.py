@@ -57,9 +57,9 @@ construction: charges derive from static IR costs, never from the
 numpy expressions actually emitted.
 
 A ``?:`` arm or the right operand of ``&&``/``||`` that holds an array
-load or an integer division runs under a guard mask, on the lanes the
-scalar engine evaluates it on, so it faults exactly when the scalar
-engine does.
+load, an integer division or a user call runs under a guard mask, on
+the lanes the scalar engine evaluates it on, so it faults and is
+charged exactly where the scalar engine's does.
 
 Kernels the tier still refuses (reason strings surface as
 ``dispatch.fallback.<reason>`` trace counters): non-variable array
@@ -344,14 +344,16 @@ def _namespace_base() -> dict[str, Any]:
 # -- eligibility -----------------------------------------------------------
 
 
-def _unsafe_speculative(e: ir.Expr) -> bool:
+def _unsafe_speculative(module: ir.Module, e: ir.Expr) -> bool:
     """True if evaluating *e* on lanes that would not evaluate it in the
-    scalar engine can fault: it holds an array load (an out-of-range
-    index) or an integer ``/`` or ``%`` (a zero divisor).  Such a ``?:``
-    arm or short-circuit right operand is evaluated under a guard mask
+    scalar engine can fault or charge ops: it holds an array load (an
+    out-of-range index), an integer ``/`` or ``%`` (a zero divisor) or a
+    user call (its body's ops).  Such a ``?:`` arm or short-circuit
+    right operand is evaluated under a guard mask
     (:meth:`_VecCompiler._guarded`)."""
     return any(
         isinstance(n, ir.Index)
+        or (isinstance(n, ir.Call) and n.name in module.functions)
         or (
             isinstance(n, ir.BinOp)
             and n.op in ("/", "%")
@@ -636,9 +638,6 @@ class _VecCompiler:
         #: when the kernel body contains Return)
         self.inline_ctx: list[dict] = []
         self.inline_stack: list[str] = []
-        #: id of a user call lifted out of a guarded operand -> the
-        #: variable holding its result (see :meth:`_guarded`)
-        self.lifted: dict[int, str] = {}
         #: True once any masked loop was emitted (the iteration cap can
         #: fire at runtime, so dispatch snapshots written buffers)
         self.has_masked_loops = False
@@ -886,27 +885,11 @@ class _VecCompiler:
         """Emit *e* evaluated only on the lanes of the current mask where
         *cond* holds, as the scalar engine evaluates a ``?:`` arm or the
         right operand of ``&&``/``||``.  Only an operand that can fault
-        is guarded, and it is skipped when no lane passes: a uniform
-        index or divisor faults whatever the mask.
-
-        The scalar engine lifts user calls out of the expression and
-        runs them on every lane, so their inlined bodies are emitted
-        (and charged) before the guard, under the current mask."""
-        if not _unsafe_speculative(e):
+        or charge ops is guarded, and it is skipped when no lane passes:
+        a uniform index or divisor faults whatever the mask."""
+        if not _unsafe_speculative(self.module, e):
             return self.expr(e)
         em = self.em
-        lifted = []
-        inner: set[int] = set()
-        for n in ir.walk_exprs(e):
-            if (
-                isinstance(n, ir.Call)
-                and n.name in self.module.functions
-                and id(n) not in self.lifted
-                and id(n) not in inner
-            ):
-                inner.update(id(x) for x in ir.walk_exprs(n))
-                self.lifted[id(n)] = self.expr(n)
-                lifted.append(id(n))
         g = self.fresh_mask()
         out = self.fresh("g")
         guard = f"__vand({self.mask or 'True'}, {cond})"
@@ -921,8 +904,6 @@ class _VecCompiler:
         em.indent -= 1
         em.emit("else:")
         em.emit(f"    {out} = {_ZERO[_kind(e)]}")
-        for key in lifted:
-            del self.lifted[key]
         return out
 
     def _binop(self, e: ir.BinOp) -> str:
@@ -960,8 +941,6 @@ class _VecCompiler:
         if e.name in ir.MATH_BUILTINS:
             args = ", ".join(self.expr(a) for a in e.args)
             return f"__math_{e.name}({args})"
-        if id(e) in self.lifted:
-            return self.lifted[id(e)]
         return self._inline_call(e)
 
     def _inline_call(self, e: ir.Call) -> str:
@@ -1641,17 +1620,12 @@ class VecKernel:
         self,
         fn: ir.Function,
         run_fn: Any,
-        group_major: bool = False,
         has_masked_loops: bool = False,
         cse_hits: int = 0,
     ) -> None:
         self.fn = fn
         self.name = fn.name
         self._run = run_fn
-        #: group-mode kernels are priced from item ops listed in the
-        #: scalar engine's group-major visit order; reproduce that
-        #: ordering quirk bit-for-bit (see :meth:`run_item_ops`)
-        self.group_major = group_major
         #: True when the kernel contains loops whose runtime iteration
         #: count is lane-dependent (the :data:`LOOP_ITER_CAP` can fire)
         self.has_masked_loops = has_masked_loops
@@ -1663,25 +1637,14 @@ class VecKernel:
         self, args: Sequence[Any], gsz: Sequence[int], lsz: Sequence[int]
     ) -> Any:
         """Execute the NDRange on numpy arrays; returns the per-item op
-        vector in the order the scalar engine prices it, so slicing it
-        at work-group-row boundaries matches slicing
-        :meth:`repro.kir.KernelRunner.run_range`.  Array arguments must
-        be numpy views of the buffers
+        vector in linear order, as
+        :meth:`repro.kir.KernelRunner.run_range` does.  Array arguments
+        must be numpy views of the buffers
         (:meth:`repro.opencl.memory.Buffer.np_view`)."""
-        g = _pad3(gsz)
-        l = _pad3(lsz)
         # Masked-off lanes may compute garbage that is discarded; only
         # the mask-aware helpers turn *active* faults into errors.
         with _np.errstate(all="ignore"):
-            ops = self._run(tuple(args), g, l, len(gsz))
-        if self.group_major and (l[1] != 1 or l[2] != 1):
-            # The scalar group engine emits item ops in group-major
-            # order and prices them as if linear; mimic by scattering
-            # to group-major before the (identical) fold.
-            arranged = _np.empty_like(ops)
-            arranged[_fold_perm(g, l, ops.shape[0])] = ops
-            ops = arranged
-        return ops
+            return self._run(tuple(args), _pad3(gsz), _pad3(lsz), len(gsz))
 
     def run_group_warps(
         self,
@@ -1721,7 +1684,6 @@ def vectorize_kernel_info(
         vk = VecKernel(
             fn,
             namespace[f"__vec_{fn.name}"],
-            group_major=ir.has_barrier(fn) or bool(_local_decls(fn)),
             has_masked_loops=comp.has_masked_loops,
             cse_hits=comp.cse_hits,
         )

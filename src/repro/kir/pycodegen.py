@@ -3,9 +3,11 @@
 The OpenCL substrate's devices execute kernels through this module.  For
 each IR module we generate one Python source text containing:
 
-* ``f_<name>`` for every helper/host function.  Convention: the first
-  parameter is the running op counter; the function returns
-  ``(value, ops)`` so dynamic operation counts flow back to the caller.
+* ``f_<name>`` for every helper/host function.  Convention: it counts
+  its own ops from zero and returns ``(value, ops)``.  A call is
+  evaluated in place, inside its expression, and adds the callee's ops
+  to the caller's ``__ops``, so a call in a ``?:`` arm or a ``&&``/``||``
+  right operand runs (and is charged) only where C evaluates it.
 * ``__warps_<kernel>`` for kernels without barriers or local memory
   ("range mode"): the warp-fold runner iterates the NDRange group by
   group and folds per-item op counts into per-group warp maxima, the
@@ -124,7 +126,7 @@ class _FnCompiler:
     # -- expressions -------------------------------------------------------
 
     def expr(self, e: ir.Expr) -> str:
-        """Emit code for *e*; user calls are lifted to temp statements."""
+        """Python expression for *e*."""
         if isinstance(e, ir.Const):
             if isinstance(e.value, bool):
                 return "True" if e.value else "False"
@@ -191,10 +193,11 @@ class _FnCompiler:
         target = self.module.functions.get(name)
         if target is None:
             raise KirError(f"codegen: unknown function {name!r}")
-        # Lift the call into a statement so the op counter threads through.
+        # The callee's ops join __ops after its arguments, which may hold
+        # calls of their own, are evaluated.
         tmp = self.fresh()
-        self.em.emit(f"{tmp}, __ops = f_{name}(__ops, {args})")
-        return tmp
+        call = f"({tmp} := f_{name}({args}))"
+        return f"(__ops := {call}[1] + __ops, {tmp}[0])[1]"
 
     def _workitem_ref(self, e: ir.Call) -> str:
         if self.mode == "host":
@@ -422,18 +425,20 @@ class KernelRunner:
     def run_range(
         self, args: Sequence[Any], gsz: Sequence[int], lsz: Sequence[int]
     ) -> list[int]:
-        """Execute the full NDRange; returns per-item op counts.
+        """Execute the full NDRange; returns per-item op counts in
+        linear (row-major, dim0 fastest) order.
 
-        Range-mode kernels run on the warp-fold at SIMD width 1, and the
-        counts come back in linear (row-major, dim0 fastest) order.
-        Group-mode kernels list them in the lock-step engine's
-        group-major visit order, the order their pricing folds."""
+        Range-mode kernels run on the warp-fold at SIMD width 1 and
+        group-mode kernels on the lock-step engine.  Both visit the
+        items group by group, so the counts are put back in linear
+        order here."""
         g = _pad3(gsz)
         l = _pad3(lsz)
         if self.group_mode:
-            return self._run_groups(tuple(args), g, l, len(gsz))
-        groups = self._run_warps(tuple(args), g, l, 1, len(gsz))
-        ops = [w for warps in groups for w in warps]
+            ops = self._run_groups(tuple(args), g, l, len(gsz))
+        else:
+            groups = self._run_warps(tuple(args), g, l, 1, len(gsz))
+            ops = [w for warps in groups for w in warps]
         if l[1] == 1 and l[2] == 1:
             return ops  # group-major order is already linear
         from .npcodegen import _fold_perm  # imports this module
@@ -555,7 +560,7 @@ class CompiledModule:
             raise KirRuntimeError(f"no function {name!r}")
         if fn.is_kernel:
             raise KirRuntimeError(f"{name!r} is a kernel")
-        return self.namespace[f"f_{name}"](0, *args)
+        return self.namespace[f"f_{name}"](*args)
 
     def kernel_runner(self, name: str) -> KernelRunner:
         runner = self._runners.get(name)
@@ -576,9 +581,9 @@ def _generate_source(module: ir.Module) -> str:
 
 def _gen_host_fn(module: ir.Module, fn: ir.Function, em: _Emitter) -> None:
     params = ", ".join(f"v_{p.name}" for p in fn.params)
-    sep = ", " if params else ""
-    em.emit(f"def f_{fn.name}(__ops{sep}{params}):")
+    em.emit(f"def f_{fn.name}({params}):")
     em.indent += 1
+    em.emit("__ops = 0")
     comp = _FnCompiler(module, fn, em, mode="host")
     comp.block(fn.body)
     em.emit("return (None, __ops)")

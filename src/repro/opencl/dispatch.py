@@ -146,8 +146,8 @@ def _vec_item_ops(
 ):
     """Execute one NDRange on the vectorised tier.
 
-    Returns the per-item op vector in the order the scalar engine prices
-    it (:meth:`repro.kir.npcodegen.VecKernel.run_item_ops`), or ``None``
+    Returns the per-item op vector in linear order
+    (:meth:`repro.kir.npcodegen.VecKernel.run_item_ops`), or ``None``
     after counting ``dispatch.fallback.<reason>`` when a scalar tier
     must run the dispatch instead.
     """

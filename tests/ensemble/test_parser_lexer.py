@@ -18,6 +18,17 @@ class TestLexer:
         assert toks[0] == ("real", "1.5")
         assert toks[1] == ("real", "2.0e3")
 
+    def test_exponent_needs_a_digit(self):
+        # An exponent with no digit used to reach float() as "1.5e".
+        toks = [(t.kind, t.text) for t in tokenize("1.5e 2.0E+")]
+        assert toks[:5] == [("real", "1.5"), ("id", "e"), ("real", "2.0"),
+                            ("id", "E"), ("op", "+")]
+
+    @pytest.mark.parametrize("source", ["x = ²;", "a² = 1;", "①", "٣"])
+    def test_identifiers_and_digits_are_ascii(self, source):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(source)
+
     def test_assignment_operators_distinct(self):
         toks = [t.text for t in tokenize("a := b = c == d")]
         assert toks[1] == ":="

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexError
-from repro.kernelc.lexer import Lexer, tokenize
+from repro.kernelc.lexer import scan, tokenize
 
 
 def kinds(source):
@@ -47,6 +47,21 @@ class TestTokens:
         with pytest.raises(LexError):
             tokenize("int a = `1`;")
 
+    @pytest.mark.parametrize(
+        "source", ["o[0] = ²;", "int a² = 1;", "①", "٣"]
+    )
+    def test_identifiers_and_digits_are_ascii(self, source):
+        # str.isdigit admits these, and int() or a generated Python name
+        # would then fail with an untyped error.
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(source)
+
+    def test_exponent_needs_a_digit(self):
+        assert kinds("1e 2e+ 3.5e-1") == [
+            ("int", "1"), ("id", "e"), ("int", "2"), ("id", "e"),
+            ("op", "+"), ("float", "3.5e-1"),
+        ]
+
 
 class TestComments:
     def test_line_comments_skipped(self):
@@ -71,17 +86,17 @@ class TestComments:
 
 class TestDirectives:
     def test_pragmas_collected_not_tokenised(self):
-        lexer = Lexer(
+        tokens, directives = scan(
             "#pragma acc parallel loop\nfor_marker here;\n#pragma acc data"
         )
-        assert len(lexer.directives) == 2
-        assert lexer.directives[0].text == "#pragma acc parallel loop"
-        assert lexer.directives[0].line == 1
-        assert lexer.directives[1].line == 3
-        texts = [t.text for t in lexer.tokens]
+        assert len(directives) == 2
+        assert directives[0].text == "#pragma acc parallel loop"
+        assert directives[0].line == 1
+        assert directives[1].line == 3
+        texts = [t.text for t in tokens]
         assert "#pragma" not in " ".join(texts)
 
     def test_pragma_between_statements(self):
-        lexer = Lexer("int a;\n#pragma omp parallel for\nint b;")
-        assert lexer.directives[0].line == 2
-        assert [t.text for t in lexer.tokens[:3]] == ["int", "a", ";"]
+        tokens, directives = scan("int a;\n#pragma omp parallel for\nint b;")
+        assert directives[0].line == 2
+        assert [t.text for t in tokens[:3]] == ["int", "a", ";"]

@@ -219,8 +219,8 @@ __kernel void ieee(__global int *out, float x) {
 # scalar engine evaluates it on: a is half the NDRange long, the false
 # arm divides by zero where the true arm is taken, and the last two
 # operands, a uniform out-of-range load and a uniform zero divisor,
-# are evaluated by no lane.  Like the scalar engine, the vec tier runs
-# (and charges) the helper call on every lane.
+# are evaluated by no lane.  The helper call runs, and is charged,
+# only on the lanes that evaluate its operand.
 GUARDED_OPERANDS = """
 int at(__global int *a, int k) { return a[k % 8] + 1; }
 __kernel void guards(__global int *out, __global int *a, int n, int z) {
@@ -233,6 +233,36 @@ __kernel void guards(__global int *out, __global int *a, int n, int z) {
     int always = i >= 0 || 10 / z > 0;
     out[i] = inside + 2 * arms + 100 * (int)(r * 8.0) + 1000 * never
         + 3000 * always;
+}
+"""
+
+# A user call in a short-circuit operand runs only where C evaluates
+# it: a is half the NDRange long, so a call on every lane would index
+# past its end.
+SHORT_CIRCUIT_CALL = """
+int at(__global int *a, int k) { return a[k]; }
+__kernel void found(__global int *out, __global int *a, int n) {
+    int i = get_global_id(0);
+    out[i] = i < n && at(a, i) > 0;
+}
+"""
+
+# User calls in all three guarded operand kinds: the right operands of
+# && and ||, and both arms of ?:.  Each call is charged only on the
+# lanes that evaluate it, a call's argument included.
+CALL_OPERANDS = """
+int at(__global int *a, int k) { return a[k]; }
+int spin(int x) {
+    int s = 0;
+    for (int j = 0; j < x % 5; j++) { s += j; }
+    return s;
+}
+__kernel void calls(__global int *out, __global int *a, int n) {
+    int i = get_global_id(0);
+    int both = i < n && at(a, i) > 0;
+    int either = i >= n || at(a, i) > 1;
+    int arm = i % 3 == 0 ? spin(i) : at(a, i % n) + spin(spin(i + 1));
+    out[i] = both + 2 * either + 4 * arm;
 }
 """
 
@@ -335,6 +365,14 @@ class TestInlining:
         n = 64
         run_tiers(HELPER_IN_LOOP_COND, "strider", [30], [[0] * n], [n], [8])
 
+    def test_calls_in_guarded_operands_charge_equal_item_ops(self):
+        # SIMD width 1: every work-item is its own warp, so the tiers
+        # must agree on each item's op count.
+        n = 64
+        a = [(i * 13) % 7 for i in range(n // 2)]
+        run_tiers(CALL_OPERANDS, "calls", [n // 2], [[0] * n, a], [n], [8],
+                  simd=1)
+
     def test_impure_helper_demotes_with_reason(self):
         source = """
         int bump(__global int *a, int i) { a[i] = a[i] + 1; return a[i]; }
@@ -411,6 +449,8 @@ class TestLedgerTotals:
         (UNIFORM_SELECT_PRIVATE, "selpriv", [5], 1, "int"),
         (UNIFORM_SELECT_MASKED, "selmasked", [5], 1, "int"),
         (UNIFORM_SELECT_STORE, "selstore", [5], 1, "int"),
+        (SHORT_CIRCUIT_CALL, "found", [256], 2, "int"),
+        (CALL_OPERANDS, "calls", [256], 2, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))
@@ -424,12 +464,21 @@ class TestLedgerTotals:
             docs, vocab = 64, scalars[0]
             shapes = [docs * vocab, docs]
             n = docs
-        elif name == "guards":
+        elif name in ("guards", "found", "calls"):
             shapes = [n, n // 2]
         else:
             shapes = [n]
-        inputs = [[(i * 13) % 7 for i in range(size)]
-                  for size in shapes[:nbuf]]
+        self.check(scalar_tier, source, name, scalars, shapes[:nbuf], dtype,
+                   n)
+
+    def test_short_circuit_call_at_eight_items(self, scalar_tier):
+        """Both runs take the scalar tier at this size."""
+        self.check(scalar_tier, SHORT_CIRCUIT_CALL, "found", [4], [8, 4],
+                   "int", 8)
+
+    @staticmethod
+    def check(scalar_tier, source, name, scalars, shapes, dtype, n):
+        inputs = [[(i * 13) % 7 for i in range(size)] for size in shapes]
         totals, contents = [], []
         for tier in (scalar_tier, contextlib.nullcontext):
             with tier(), tracing() as tr:

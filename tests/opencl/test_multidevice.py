@@ -17,6 +17,7 @@ import pytest
 
 from repro import configure
 from repro import kcache
+from repro import kernelc
 from repro.kir import KernelRunner, npcodegen
 from repro.opencl import (
     Buffer,
@@ -217,9 +218,8 @@ class TestMultiDeviceKernelNs:
 
 
 # A 2-D barrier kernel over 4x4 groups: per-item trip counts follow the
-# data, so folding the group-major op order the scalar engine reports as
-# if it were linear (its pricing quirk) gives different warp maxima than
-# folding linear order would.
+# data, so warps regrouped from any order but linear would give
+# different maxima (on a CPU, whose warps are narrower than a group).
 TILE_SCAN = """
 __kernel void tile_scan(__global int *data, __global int *out, int w) {
     int x = get_global_id(0);
@@ -233,6 +233,13 @@ __kernel void tile_scan(__global int *data, __global int *out, int w) {
     out[y * w + x] = acc;
 }
 """
+
+TILE_W, TILE_H = 16, 32
+TILE_DATA = [(i * 37 + 11) % 23 for i in range(TILE_W * TILE_H)]
+TILE_SCAN_CASE = (
+    TILE_SCAN, "tile_scan", (TILE_W, TILE_H), (4, 4),
+    [TILE_DATA, [0] * (TILE_W * TILE_H), TILE_W],
+)
 
 # Lane-dependent trip counts make the loop masked (subject to the
 # iteration cap), and stores inside it would leave partial sums behind
@@ -317,15 +324,10 @@ class TestSplitTierAgreement:
         assert tr.counter("dispatch.fallback") == 0
         assert per_item_runs == [True]  # only the forced-scalar run
 
-    def test_barrier_kernel_keeps_group_major_order(
+    def test_barrier_kernel_runs_vectorised(
         self, per_item_runs, scalar_tier
     ):
-        w, h = 16, 32
-        data = [(i * 37 + 11) % 23 for i in range(w * h)]
-        tr = _agrees_with_scalar(
-            scalar_tier, TILE_SCAN, "tile_scan", (w, h), (4, 4),
-            [data, [0] * (w * h), w],
-        )
+        tr = _agrees_with_scalar(scalar_tier, *TILE_SCAN_CASE)
         assert tr.counter("dispatch.fallback") == 0
         assert per_item_runs == [True]
 
@@ -365,6 +367,56 @@ class TestSplitTierAgreement:
         assert tr.counter("dispatch.fallback") == 1
         assert tr.counter("dispatch.fallback.small-ndrange") == 1
         assert per_item_runs == [False, True]
+
+
+class TestGroupModePricing:
+    """A 2-D barrier kernel is priced from its per-item ops in linear
+    order, as :meth:`DeviceSpec.kernel_ns` prices them, on each tier
+    and in each slice of a split."""
+
+    @staticmethod
+    def linear_ops():
+        runner = kernelc.build(TILE_SCAN).kernel_runner("tile_scan")
+        return runner.run_range(
+            [list(TILE_DATA), [0] * (TILE_W * TILE_H), TILE_W],
+            (TILE_W, TILE_H), (4, 4),
+        )
+
+    def test_each_tier_prices_linear_ops(self, scalar_tier):
+        want = cpu_spec().kernel_ns(
+            self.linear_ops(), (TILE_W, TILE_H), (4, 4)
+        )
+        assert want == 3328.5
+        for tier in (scalar_tier, contextlib.nullcontext):
+            cpu = _cpu()
+            ctx = Context([cpu])
+            kernel = Program(ctx, TILE_SCAN).build().create_kernel(
+                "tile_scan"
+            )
+            n = TILE_W * TILE_H
+            for index, data in enumerate((TILE_DATA, [0] * n)):
+                kernel.set_arg(index, Buffer(
+                    ctx, n, "int", flags=(READ_WRITE, COPY_HOST_PTR),
+                    host_data=data,
+                ))
+            kernel.set_arg(2, TILE_W)
+            with tier(), tracing() as tr:
+                ctx.enqueue_nd_range(kernel, [TILE_W, TILE_H], [4, 4])
+            assert ctx.ledger.kernel_ns == want
+        assert tr.counter("dispatch.fallback") == 0  # the vec tier ran
+
+    def test_split_slices_price_linear_ops(self, scalar_tier):
+        ops = self.linear_ops()
+        specs = [_gpu().spec, _cpu().spec]
+        for tier in (scalar_tier, contextlib.nullcontext):
+            parts, _, _ = _split_parts(*TILE_SCAN_CASE, tier=tier)
+            lo = 0
+            for spec, (sub_gsz, n_items, ns) in zip(specs, parts):
+                want = spec.kernel_ns(ops[lo:lo + n_items], sub_gsz, (4, 4))
+                assert ns == want
+                lo += n_items
+            assert lo == TILE_W * TILE_H
+            assert parts[1][2] == 2813.5  # the CPU's 12 rows
 
 
 class TestBufferLifetime:

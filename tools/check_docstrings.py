@@ -4,7 +4,8 @@
 Checks that every module under ``src/repro/opencl/``,
 ``src/repro/kir/``, ``src/repro/actors/`` and ``src/repro/runtime/``
 (plus ``src/repro/config.py``, ``src/repro/kcache.py``,
-``src/repro/openacc/runtime.py`` and ``src/repro/harness/chaos.py``)
+``src/repro/lexing.py``, ``src/repro/openacc/runtime.py`` and
+``src/repro/harness/chaos.py``)
 carries a module docstring, and that each top-level *public* class and
 function in those modules states a one-line contract.  CI runs this so the scheduling/dispatch/
 reliability layers the architecture and reliability documents describe
@@ -28,6 +29,7 @@ TARGETS = [
     os.path.join("src", "repro", "actors"),
     os.path.join("src", "repro", "config.py"),
     os.path.join("src", "repro", "kcache.py"),
+    os.path.join("src", "repro", "lexing.py"),
     os.path.join("src", "repro", "runtime"),
     os.path.join("src", "repro", "openacc", "runtime.py"),
     os.path.join("src", "repro", "harness", "chaos.py"),
@@ -46,6 +48,7 @@ REQUIRED = [
     os.path.join("src", "repro", "kir", "fuse.py"),
     os.path.join("src", "repro", "kir", "npcodegen.py"),
     os.path.join("src", "repro", "kir", "semantics.py"),
+    os.path.join("src", "repro", "lexing.py"),
     os.path.join("src", "repro", "runtime", "vm.py"),
     os.path.join("src", "repro", "runtime", "residency.py"),
     os.path.join("src", "repro", "openacc", "runtime.py"),
