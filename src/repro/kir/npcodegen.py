@@ -44,17 +44,24 @@ changing anything observable:
   cached kernels too.
 * **Common-subexpression elimination** — pure ``ir.Expr`` subtrees are
   hashed per masked region at codegen time and repeated occurrences
-  (e.g. a loop condition's ``x*x + y*y`` reused in its body) become
+  (e.g. a loop condition's ``x*x + y*y`` reused in its body, or a
+  uniform ``for`` body's loop-invariant arithmetic, hoisted) become
   single-assignment temporaries, invalidated on assignments to their
   dependencies and conservatively on any store to an array.
+
+Where codegen knows the shape of the work it emits plain numpy: a
+private array at full width indexed by one host scalar is read and
+written a row at a time inline, and an unmasked gather is ``a[i]``.
 
 Op accounting mirrors ``_FnCompiler.block`` exactly (same per-block
 batching, the same ``+1`` / ``+2`` control-flow charges, masked where
 the scalar path is conditional), so the folded warp maxima — and hence
 every simulated nanosecond — are identical to the scalar engines';
-tests assert this.  Both passes above are charging-equivalent by
-construction: charges derive from static IR costs, never from the
-numpy expressions actually emitted.
+tests assert this.  Two charges are merged exactly: a straight-line
+``if``/``else`` charges its cheaper branch once with the condition,
+and a ``while`` charges each later check with the body's last charge.
+Charges derive from static IR costs, never from the numpy expressions
+actually emitted, so no pass above changes one.
 
 A ``?:`` arm or the right operand of ``&&``/``||`` that holds an array
 load, an integer division or a user call runs under a guard mask, on
@@ -128,6 +135,9 @@ _ZERO = {"int": "0", "float": "0.0", "bool": "False"}
 
 _VARIANT_ID_BUILTINS = ("get_global_id", "get_local_id", "get_group_id")
 
+#: Statements without control flow: a block charges them in one batch.
+_SIMPLE = (ir.Decl, ir.Assign, ir.Store, ir.ExprStmt)
+
 
 # -- runtime helpers (the generated code's namespace) ----------------------
 
@@ -146,25 +156,17 @@ def _vmask(val: Any, n: int):
 
 
 def _vload(arr: Any, idx: Any, m: Any):
-    """Gather from a global array; inactive lanes read a safe index."""
-    if m is None or not _is_arr(idx):
+    """Masked gather from a global array: inactive lanes read index 0."""
+    if not _is_arr(idx):
         return arr[idx]
     return arr[_np.where(m, idx, 0)]
 
 
 def _vload2(arr: Any, rows: Any, idx: Any, m: Any):
     """Read each work-item's slot of a private or ``__local`` array.
-
-    Both are slot-major, ``(size, columns)``.  *rows* holds each lane's
-    column (``__lin`` or ``__grow``), or is None for a private array
-    accessed at full width, where lane *k* owns column *k*.  There a
-    uniform index reads one contiguous row, copied so that a later
-    store cannot change a value already read.
-    """
-    if rows is None:
-        if not _is_arr(idx):
-            return arr[idx].copy()
-        rows = _np.arange(arr.shape[1])
+    Both are slot-major, ``(size, columns)``; *rows* holds each lane's
+    column (``__lin`` or ``__grow``).  Codegen reads a row at one host
+    scalar inline instead (:meth:`_VecCompiler._row_index`)."""
     if m is not None and _is_arr(idx):
         idx = _np.where(m, idx, 0)
     return arr[idx, rows]
@@ -193,7 +195,7 @@ def _vstore(arr: Any, idx: Any, val: Any, m: Any) -> None:
         sel = idx[m]
         arr[sel] = val[m] if _is_arr(val) else val
         return
-    if bool(m.any()):
+    if _np.count_nonzero(m):
         if _is_arr(val):
             active = val[m]
             arr[idx] = active[-1]
@@ -204,17 +206,6 @@ def _vstore(arr: Any, idx: Any, val: Any, m: Any) -> None:
 def _vstore2(arr: Any, rows: Any, idx: Any, val: Any, m: Any) -> None:
     """Write each work-item's slot of a private or ``__local`` array
     (*rows* as in :func:`_vload2`)."""
-    if rows is None:
-        if not _is_arr(idx):
-            if m is None:
-                arr[idx] = val
-            else:
-                # putmask casts "safe", assignment "unsafe": convert
-                # first, as the assignment would.
-                row = arr[idx]
-                _np.putmask(row, m, _np.asarray(val, row.dtype))
-            return
-        rows = _np.arange(arr.shape[1])
     if m is None:
         arr[idx, rows] = val
         return
@@ -314,6 +305,9 @@ def _namespace_base() -> dict[str, Any]:
     return {
         "__np": _np,
         "__vmask": _vmask,
+        # Faster than ndarray.any below about 10,000 lanes, where most
+        # dispatches run, and the masked work dwarfs it above.
+        "__vany": _np.count_nonzero,
         "__vidiv": semantics.vidiv,
         "__vimod": semantics.vimod,
         "__vfdiv": semantics.vfdiv,
@@ -458,13 +452,16 @@ def _variant_vars(
     """Scalar variables whose value can differ between work-items.
 
     Seeds: work-item ids and array loads are variant; everything
-    derived from them (or assigned under a condition or inside a
-    masked loop, which masking turns into an array) becomes variant.
-    *seeds* pre-marks names (used for inline sites, where a callee
-    parameter bound to a variant argument is variant).  Fixpoint over
-    the body.
+    derived from them (or assigned under a condition, inside a masked
+    loop or anywhere in a function with ``return``, whose live mask
+    masking turns into an array) becomes variant.  *seeds* pre-marks
+    names (used for inline sites, where a callee parameter bound to a
+    variant argument is variant).  Fixpoint over the body.
     """
     variant: set[str] = set(seeds)
+    stmts = list(ir.walk_stmts(fn.body))
+    if any(isinstance(s, ir.Return) for s in stmts):
+        variant |= {s.name for s in stmts if isinstance(s, ir.Assign)}
     expr_variant = _make_expr_variant(module, variant)
 
     changed = True
@@ -505,6 +502,35 @@ def _variant_vars(
 
         visit(fn.body, False)
     return variant
+
+
+def _host_scalar(module: ir.Module, e: ir.Expr, arrays: set[str]) -> bool:
+    """True when *e* is one host scalar on the vec tier: it reads no
+    array, work-item id, user call or variable of *arrays*."""
+    return not any(
+        isinstance(n, ir.Index)
+        or (isinstance(n, ir.Var) and n.name in arrays)
+        or (
+            isinstance(n, ir.Call)
+            and (n.name in _VARIANT_ID_BUILTINS or n.name in module.functions)
+        )
+        for n in ir.walk_exprs(e)
+    )
+
+
+def _array_vars(
+    module: ir.Module, fn: ir.Function, variant: set[str]
+) -> set[str]:
+    """Scalar variables of *fn* that may hold a per-lane array: the
+    *variant* ones, every assigned one (a masked assignment is
+    ``np.where``) and any declared from an inlined call or from them."""
+    stmts = list(ir.walk_stmts(fn.body))
+    arrays = set(variant) | {s.name for s in stmts if isinstance(s, ir.Assign)}
+    for s in stmts:  # in program order: a declaration follows its reads
+        if isinstance(s, ir.Decl) and s.init is not None:
+            if not _host_scalar(module, s.init, arrays):
+                arrays.add(s.name)
+    return arrays
 
 
 def _barriers_phase_safe(
@@ -631,6 +657,8 @@ class _VecCompiler:
         self.scopes: list[dict[str, str]] = []
         #: per-scope variant-variable sets (kernel's own at index 0)
         self.variants: list[set[str]] = [variant]
+        #: kernel variables that may hold a per-lane array
+        self.arrays = _array_vars(module, fn, variant)
         #: resolved private/``__local`` array name -> the variable
         #: holding each lane's column (``__lin`` or ``__grow``)
         self.rowed: dict[str, str] = {}
@@ -701,16 +729,17 @@ class _VecCompiler:
             # order of magnitude and is density-independent.
             self.em.emit(f"__ops += {mask} * {n}")
 
-    def _rows(self, base: str) -> Optional[str]:
-        """The *rows* argument of ``__vload2``/``__vstore2`` for array
-        *base*, or None for a global array.  A private array accessed
-        outside every compactible loop runs at full width, where lane
-        *k* owns column *k*: it passes ``None`` (inside such a loop,
-        compaction may have gathered ``__lin``)."""
-        row = self.rowed.get(base)
-        if row == "__lin" and len(self.widths) == 1:
-            return "None"
-        return row
+    def _row_index(self, base: str, index: ir.Expr) -> bool:
+        """Whether *base* at *index* is one row, accessed inline: a
+        private array at full width (lane *k* owns column *k*; a
+        compactible loop may gather ``__lin``) at one host scalar of the
+        kernel's own scope.  An ndarray index, even 0-d, selects a copy."""
+        return (
+            self.rowed.get(base) == "__lin"
+            and len(self.widths) == 1
+            and not self.scopes
+            and _host_scalar(self.module, index, self.arrays)
+        )
 
     def _width(self) -> str:
         """The lane-count expression masks materialise at (the full
@@ -862,12 +891,19 @@ class _VecCompiler:
             assert isinstance(e.base, ir.Var)
             base = self.var(e.base.name)
             idx = self.expr(e.index)
-            row = self._rows(base)
+            row = self.rowed.get(base)
+            if self._row_index(base, e.index):
+                return f"{base}[{idx}].copy()"
             if row is not None:
                 return f"__vload2({base}, {row}, {idx}, {self._m()})"
+            if self.mask is None:
+                return f"{base}[{idx}]"
             return f"__vload({base}, {idx}, {self._m()})"
         if isinstance(e, ir.Cast):
             inner = self.expr(e.operand)
+            if e.target.kind == "float" and isinstance(e.operand, ir.Index):
+                # A load is a NumPy array or scalar, never a Python one.
+                return f"{inner}.astype(__np.float64)"
             fn = {"int": "__vint", "float": "__vfloat", "bool": "__vbool"}[
                 e.target.kind
             ]
@@ -894,7 +930,7 @@ class _VecCompiler:
         out = self.fresh("g")
         guard = f"__vand({self.mask or 'True'}, {cond})"
         em.emit(f"{g} = __vmask({guard}, {self._width()})")
-        em.emit(f"if {g}.any():")
+        em.emit(f"if __vany({g}):")
         em.indent += 1
         self.masks.append(g)
         self._cse_push()
@@ -1001,8 +1037,10 @@ class _VecCompiler:
 
     # -- statements -----------------------------------------------------
 
-    def block(self, stmts: Sequence[ir.Stmt]) -> None:
-        """Mirror of ``_FnCompiler.block``'s per-run op batching."""
+    def block(self, stmts: Sequence[ir.Stmt], tail: int = 0) -> None:
+        """Mirror of ``_FnCompiler.block``'s per-run op batching; *tail*
+        joins the last charge (a ``while`` check, or minus what an
+        ``if`` already charged for a straight-line branch)."""
         pending = 0
 
         def flush() -> None:
@@ -1012,7 +1050,7 @@ class _VecCompiler:
                 pending = 0
 
         for st in stmts:
-            if isinstance(st, (ir.Decl, ir.Assign, ir.Store, ir.ExprStmt)):
+            if isinstance(st, _SIMPLE):
                 pending += _stmt_cost(st)
                 self.simple_stmt(st)
             elif isinstance(st, ir.Return):
@@ -1022,6 +1060,7 @@ class _VecCompiler:
             else:
                 flush()
                 self.control_stmt(st)
+        pending += tail
         flush()
 
     def simple_stmt(self, st: ir.Stmt) -> None:
@@ -1034,18 +1073,12 @@ class _VecCompiler:
                 name = self.var(st.name)
                 # Slot-major: slot s of every lane is one row, and
                 # column k belongs to lane (or group) k.
-                if st.type.space == ir.LOCAL:
-                    em.emit(
-                        f"{name} = "
-                        f"__np.zeros(({size}, __ngroups), dtype={dtype})"
-                    )
-                    self.rowed[name] = "__grow"
-                else:
-                    em.emit(
-                        f"{name} = "
-                        f"__np.zeros(({size}, __n), dtype={dtype})"
-                    )
-                    self.rowed[name] = "__lin"
+                local = st.type.space == ir.LOCAL
+                em.emit(
+                    f"{name} = __np.zeros(({size}, "
+                    f"{'__ngroups' if local else '__n'}), dtype={dtype})"
+                )
+                self.rowed[name] = "__grow" if local else "__lin"
             elif st.init is not None:
                 self._assign(st.name, self.expr(st.init), declares=True)
             else:
@@ -1058,8 +1091,17 @@ class _VecCompiler:
             base = self.var(st.base.name)
             idx = self.expr(st.index)
             val = self.expr(st.value)
-            row = self._rows(base)
-            if row is not None:
+            row = self.rowed.get(base)
+            if self._row_index(base, st.index):
+                if self.mask is None:
+                    em.emit(f"{base}[{idx}] = {val}")
+                else:
+                    # putmask casts "safe": convert as assignment would.
+                    em.emit(
+                        f"__np.putmask({base}[{idx}], {self.mask}, "
+                        f"__np.asarray({val}, {base}.dtype))"
+                    )
+            elif row is not None:
                 em.emit(
                     f"__vstore2({base}, {row}, {idx}, {val}, {self._m()})"
                 )
@@ -1127,18 +1169,26 @@ class _VecCompiler:
     def control_stmt(self, st: ir.Stmt) -> None:
         em = self.em
         if isinstance(st, ir.If):
-            self.add_ops(_static_cost(st.cond) + 1)
+            # Each lane of the enclosing mask takes one branch: without
+            # control flow in either, charge the cheaper one's cost here.
+            common = 0
+            if all(isinstance(s, _SIMPLE) for s in (*st.then, *st.orelse)):
+                common = min(
+                    sum(_stmt_cost(s) for s in st.then),
+                    sum(_stmt_cost(s) for s in st.orelse),
+                )
+            self.add_ops(_static_cost(st.cond) + 1 + common)
             raw = self.fresh_mask()
             em.emit(f"{raw} = __vmask({self.expr(st.cond)}, {self._width()})")
             then_mask = raw if self.mask is None else self.fresh_mask()
             if self.mask is not None:
                 em.emit(f"{then_mask} = {raw} & {self.mask}")
             if st.then:
-                em.emit(f"if {then_mask}.any():")
+                em.emit(f"if __vany({then_mask}):")
                 em.indent += 1
                 self.masks.append(then_mask)
                 self._cse_push()
-                self.block(st.then)
+                self.block(st.then, -common)
                 self._cse_pop()
                 self.masks.pop()
                 em.indent -= 1
@@ -1148,11 +1198,11 @@ class _VecCompiler:
                     em.emit(f"{else_mask} = ~{raw}")
                 else:
                     em.emit(f"{else_mask} = ~{raw} & {self.mask}")
-                em.emit(f"if {else_mask}.any():")
+                em.emit(f"if __vany({else_mask}):")
                 em.indent += 1
                 self.masks.append(else_mask)
                 self._cse_push()
-                self.block(st.orelse)
+                self.block(st.orelse, -common)
                 self._cse_pop()
                 self.masks.pop()
                 em.indent -= 1
@@ -1196,19 +1246,42 @@ class _VecCompiler:
         start = self.expr(st.start)
         stop = self.expr(st.stop)
         step = self.expr(st.step)
+        # Entries from before the loop could be stale by iteration 2
+        # (their deps may be assigned later in the body); entries made
+        # inside are undefined after a zero-trip loop.  Clear at both
+        # boundaries, keeping within-body reuse and the hoisted entries.
+        self._cse_clear()
+        self._hoist(st)
         em.emit(
             f"for {self.var(st.var)} in range({start}, {stop}, {step}):"
         )
         em.indent += 1
-        # Entries from before the loop could be stale by iteration 2
-        # (their deps may be assigned later in the body); entries made
-        # inside are undefined after a zero-trip loop.  Clear at both
-        # boundaries, keeping only within-body reuse.
-        self._cse_clear()
         self.add_ops(2)
         self.block(st.body)
         self._cse_clear()
         em.indent -= 1
+
+    def _hoist(self, st: ir.For) -> None:
+        """Evaluate a uniform loop body's invariant arithmetic (no load,
+        division, shift or call) before the loop, for CSE to reuse."""
+        body = list(ir.walk_stmts(st.body))
+        written = {st.var} | {
+            s.var if isinstance(s, ir.For) else s.name
+            for s in body
+            if isinstance(s, (ir.Decl, ir.Assign, ir.For))
+        }
+        ops = (ir.BinOp, ir.UnOp, ir.Cast)
+        for e in (e for s in body for e in ir.walk_exprs(s)):
+            if isinstance(e, ops) and all(
+                isinstance(n, ir.Const)
+                or (isinstance(n, ir.Var) and n.name not in written)
+                or (
+                    isinstance(n, ops)
+                    and getattr(n, "op", "") not in ("/", "%", "<<", ">>")
+                )
+                for n in ir.walk_exprs(e)
+            ):
+                self.expr(e)
 
     # -- lane compaction ------------------------------------------------
 
@@ -1339,10 +1412,11 @@ class _VecCompiler:
         em.emit(f"__vcstats(0, {fr['cr']})")
         em.indent -= 1
 
-    def _enter_loop_body(self, body: Sequence[ir.Stmt], act: str) -> None:
+    def _enter_loop_body(self, body: Sequence[ir.Stmt], act: str, tail=0):
         """Push the loop body mask (a per-iteration copy when the body
         contains ``continue``, so continue can subtract lanes from the
-        rest of the iteration without ending their loop)."""
+        rest of the iteration without ending their loop) and emit the
+        body, *tail* joining its last charge."""
         if _direct(body, ir.Continue):
             body_mask = self.fresh_mask()
             self.em.emit(f"{body_mask} = {act}")
@@ -1350,7 +1424,7 @@ class _VecCompiler:
             body_mask = act
         self.loops.append({"depth": len(self.masks), "act": act})
         self.masks.append(body_mask)
-        self.block(body)
+        self.block(body, tail)
         self.masks.pop()
         self.loops.pop()
 
@@ -1368,6 +1442,12 @@ class _VecCompiler:
         plan = self._compaction_plan(st)
         fr = self._compact_frame(plan) if plan is not None else None
         cost = _static_cost(st.cond) + 1
+        # The lanes that check in round r + 1 (failing or not) are those
+        # live at the end of round r, so the check joins the body's last
+        # charge, unless a continue ends their round under a mask copy.
+        merged = not _direct(st.body, ir.Continue)
+        if merged:
+            self.add_ops(cost)
         em.emit("while True:")
         em.indent += 1
         # Region boundary for CSE: a temp assigned in round i must not
@@ -1377,17 +1457,16 @@ class _VecCompiler:
         if fr is not None:
             self._compact_check(fr, act)
             self.widths.append(fr["cw"])
-        # Every still-active lane performs the check (and pays for it,
-        # including the final failing one — exactly the scalar charge).
-        self.add_ops(cost, act)
+        if not merged:
+            self.add_ops(cost, act)
         self.masks.append(act)
         cond = self.expr(st.cond)
         self.masks.pop()
         em.emit(f"{act} = {act} & __vmask({cond}, {self._width()})")
-        em.emit(f"if not {act}.any(): break")
+        em.emit(f"if not __vany({act}): break")
         em.emit(f"{it} += 1")
         em.emit(f"if {it} > __CAP: raise __vcaperr()")
-        self._enter_loop_body(st.body, act)
+        self._enter_loop_body(st.body, act, cost if merged else 0)
         if fr is not None:
             self.widths.pop()
         em.indent -= 1
@@ -1427,7 +1506,7 @@ class _VecCompiler:
             em.emit(f"{act} = {outer} & __vmask({in_range}, {self._width()})")
         it = self.fresh("t")
         em.emit(f"{it} = 0")
-        em.emit(f"while {act}.any():")
+        em.emit(f"while __vany({act}):")
         em.indent += 1
         self._cse_clear()
         if fr is not None:
@@ -1454,15 +1533,15 @@ class _VecCompiler:
         host scalar and every lane shares the trip count."""
         em = self.em
         cost = _static_cost(st.cond) + 1
+        self.add_ops(cost)  # the rest join the body (_masked_while_stmt)
         em.emit("while True:")
         em.indent += 1
         # Same staleness/zero-trip reasoning as _uniform_for_stmt (the
         # condition always runs once, but reuse across the back edge
         # would read values from the previous iteration).
         self._cse_clear()
-        self.add_ops(cost)
         em.emit(f"if not ({self.expr(st.cond)}): break")
-        self.block(st.body)
+        self.block(st.body, cost)
         em.indent -= 1
         self._cse_clear()
 

@@ -554,13 +554,18 @@ class CompiledModule:
             self._runners[fn.name] = runner
 
     def call(self, name: str, args: Sequence[Any]) -> tuple[Any, int]:
-        """Call host function *name*; returns ``(value, op_count)``."""
+        """Call host function *name*; returns ``(value, op_count)``.  An
+        index past an array's end is a :class:`KirRuntimeError`."""
         fn = self.module.functions.get(name)
         if fn is None:
             raise KirRuntimeError(f"no function {name!r}")
         if fn.is_kernel:
             raise KirRuntimeError(f"{name!r} is a kernel")
-        return self.namespace[f"f_{name}"](*args)
+        try:
+            return self.namespace[f"f_{name}"](*args)
+        except IndexError as exc:
+            msg = f"function {name}: array index out of range ({exc})"
+            raise KirRuntimeError(msg) from exc
 
     def kernel_runner(self, name: str) -> KernelRunner:
         runner = self._runners.get(name)

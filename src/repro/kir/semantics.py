@@ -165,6 +165,15 @@ def _fmax(x: Any, y: Any) -> Any:
     return np.where((x < y) | (x != x), y, x)[()]
 
 
+# numpy computes a scalar or broadcast exponent of 0.5 or 2 as a square
+# root or a square, which differ from its pow at -0.0 and -inf and in
+# the last bit, so pow always gets whole arrays.
+def _pow(x: Any, y: Any) -> Any:
+    x, y = np.broadcast_arrays(x, y)
+    r = np.power(np.array(x, ndmin=1), np.array(y, ndmin=1))
+    return r.reshape(x.shape)[()]
+
+
 NUM, FLOAT, FOLLOW = "num", "float", "follow"
 
 #: name -> (argument kinds, result kind, numpy definition).  A ``num``
@@ -180,7 +189,7 @@ BUILTINS: dict[str, tuple[tuple[str, ...], str, Callable]] = {
     "tan": ((NUM,), FLOAT, np.tan),
     "atan": ((NUM,), FLOAT, np.arctan),
     "atan2": ((NUM, NUM), FLOAT, np.arctan2),
-    "pow": ((NUM, NUM), FLOAT, np.power),
+    "pow": ((NUM, NUM), FLOAT, _pow),
     "floor": ((NUM,), FLOAT, np.floor),
     "ceil": ((NUM,), FLOAT, np.ceil),
     "fmin": ((NUM, NUM), FLOAT, _fmin),

@@ -11,10 +11,11 @@ Each buffer stores its contents in one NumPy array and nowhere else.
 The vectorised kernel tier operates on that array directly, and the
 scalar tier indexes a ``memoryview`` of it.  Host data is converted
 only when a transfer is enqueued: a write slice-assigns into the array,
-and a read calls ``tolist()``.  A write into a buffer that no kernel,
-copy or split has written since its last transfer first asks
-:meth:`Buffer.contents_equal` whether the array already holds the host
-values bit for bit, and skips the conversion when it does.
+and a read calls ``tolist()``.  An ``int`` or ``bool`` write into a
+buffer that no kernel, copy or split has written since its last
+transfer first asks :meth:`Buffer.contents_equal` whether the array
+already holds the host values, and skips the conversion when it does;
+a ``float`` write converts at once, since comparing costs as much.
 ``Buffer.data`` is a read-only snapshot.  Storage is a wall-clock
 concern only; simulated costs never depend on it.
 """
@@ -79,9 +80,10 @@ class Buffer:
         #: last transfer that certified host and device copies equal,
         #: or None once a kernel, device-side copy or split has written
         #: the buffer.  Maintained by the queue layer.  A host write
-        #: into a marked buffer probes :meth:`contents_equal` before it
-        #: converts; the graph-level optimiser elides the transfer when
-        #: the marker also matches its epoch and device.
+        #: into a marked ``int`` or ``bool`` buffer probes
+        #: :meth:`contents_equal` before it converts; the graph-level
+        #: optimiser elides the transfer when the marker also matches
+        #: its epoch and device.
         self._h2d_clean: Optional[tuple] = None
         if COPY_HOST_PTR in self.flags:
             if host_data is None:
@@ -111,28 +113,24 @@ class Buffer:
         probe and the transfer-elimination pass's.
 
         Reads the array itself, so the answer holds whatever wrote it
-        last.  Elements compare by Python ``==`` with ``tolist()``,
-        which for Python numbers and NumPy 64-bit scalars means equal
-        stored values (``1.0`` over an ``int`` 1 stores 1 again); a
-        ``float`` buffer's zeros also need equal sign bits.  A list is
-        compared in place, an ndarray through its own ``tolist()``.  A
-        NumPy float32 or float16 scalar inside a list compares at its
-        own precision, so it can equal a stored value that differs from
-        what writing it stores.
+        last.  A ``float`` buffer converts *values* once, as a write
+        would, and compares the bits, so signed zeros, NaN payloads and
+        NumPy float32 scalars all count exactly.  Other elements compare
+        by Python ``==`` with ``tolist()``, which for Python numbers and
+        NumPy 64-bit scalars means equal stored values (``1.0`` over an
+        ``int`` 1 stores 1 again); a list is compared in place, an
+        ndarray through its own ``tolist()``.
         """
         if len(values) != self.n_elements:
             return False
+        if self.dtype == "float":
+            host = _np.asarray(values, _np.float64).view(_np.int64)
+            return bool((host == self._np.view(_np.int64)).all())
         if isinstance(values, _np.ndarray):
             values = values.tolist()
         elif type(values) is not list:
             values = list(values)
-        if self._np.tolist() != values:
-            return False
-        if self.dtype != "float":
-            return True
-        zeros = _np.flatnonzero(self._np == 0.0)
-        host = _np.array([values[i] for i in zeros.tolist()], _np.float64)
-        return bool((_np.signbit(host) == _np.signbit(self._np[zeros])).all())
+        return self._np.tolist() == values
 
     def np_view(self):
         """The buffer's one NumPy array, not a copy: kernels and

@@ -14,10 +14,11 @@ import itertools
 import threading
 from typing import Optional, Sequence
 
-from ..errors import CLBuildProgramFailure, CLInvalidValue
+from ..errors import CLBuildProgramFailure, CLInvalidKernelArgs, CLInvalidValue
 from .. import kcache, kir
 from . import faults
 from .context import Context
+from .memory import Buffer
 from .platform import Device
 
 _program_ids = itertools.count(1)
@@ -188,8 +189,6 @@ class Kernel:
 
     def set_arg(self, index: int, value) -> None:
         """Bind argument *index*; buffers for array params, scalars else."""
-        from .memory import Buffer  # local import to avoid a cycle
-
         if not 0 <= index < len(self.fn.params):
             raise CLInvalidValue(
                 f"kernel {self.name}: argument index {index} out of range"
@@ -230,9 +229,6 @@ class Kernel:
     def bound_entries(self, context: Context) -> list:
         """Validated argument list with :class:`Buffer` objects left
         as-is, so the dispatch tier can choose each buffer's storage."""
-        from ..errors import CLInvalidKernelArgs
-        from .memory import Buffer
-
         out = []
         for i, (param, value) in enumerate(zip(self.fn.params, self._args)):
             if value is _UNSET:
@@ -258,8 +254,6 @@ class Kernel:
         bound to a parameter the body neither reads nor writes is
         conservatively treated as read (it still orders behind writers).
         """
-        from .memory import Buffer
-
         reads: list[int] = []
         writes: list[int] = []
         for param, value in zip(self.fn.params, entries):

@@ -93,14 +93,10 @@ def copy_message(value: Any) -> Any:
     """Duplicate a non-movable message to preserve shared-nothing
     semantics.  Movables are not handled here — channels route them
     through :meth:`Movable.surrender` instead."""
-    from .residency import ManagedArray
-
     if getattr(value, "__by_reference__", False):
         # Channel ends (and structs carrying them) are runtime entities,
         # not data: they travel by reference so receivers can use them.
         return value
-    if isinstance(value, ManagedArray):
-        return value.clone()
     if hasattr(value, "clone") and callable(value.clone):
         return value.clone()
     if isinstance(value, (int, float, bool, str, bytes, type(None))):

@@ -1,5 +1,7 @@
 """KernelActor behaviour: dispatch automation, residency, errors."""
 
+import builtins
+
 import pytest
 
 from repro.actors import (
@@ -202,3 +204,28 @@ class TestBarrierKernelsThroughActors:
             groupsize=[8],
         )
         assert result["sums"].host() == [sum(range(8)), sum(range(8, 16))]
+
+
+class TestImportsPerRequest:
+    def test_import_statements_do_not_grow_with_the_pipeline(self):
+        """No dispatch or message runs an import statement: the count
+        per LUD pipeline is the same at 8 and 16 (3n dispatches)."""
+        from repro.apps import lud
+
+        def imports(n):
+            count = 0
+            real = builtins.__import__
+
+            def counting(*args, **kwargs):
+                nonlocal count
+                count += 1
+                return real(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(builtins, "__import__", counting)
+                lud.run_actors(n)
+            return count
+
+        lud.run_actors(8)
+        lud.run_actors(16)  # the first runs load what they need
+        assert imports(8) == imports(16)

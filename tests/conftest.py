@@ -1,12 +1,23 @@
-"""Fixtures shared across the test packages."""
+"""Fixtures shared across the test packages.
+
+``HYPOTHESIS_PROFILE=ci`` loads the ``ci`` Hypothesis profile, which
+runs more examples for every property test that leaves
+``max_examples`` to the profile; the default profile is Hypothesis's
+own.
+"""
 
 from __future__ import annotations
 
 import contextlib
+import os
 
 import pytest
+from hypothesis import settings
 
 from repro.opencl import dispatch
+
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _never_vectorise(*args):

@@ -4,7 +4,8 @@ algorithms executed through the host path and checked against Python."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernelc
+from repro import kernelc, kir
+from repro.errors import KirRuntimeError
 
 
 def run(source, fn, args):
@@ -176,3 +177,15 @@ class TestRecursion:
         """
         assert run(src, "parity", [7]) == 1
         assert run(src, "parity", [10]) == 0
+
+
+class TestIndexFaults:
+    def test_load_past_the_end_is_a_typed_error(self):
+        """As in the Interpreter and the kernel tiers, not a raw
+        IndexError."""
+        src = "int f(int *a) { return a[10]; }"
+        with pytest.raises(KirRuntimeError, match="function f"):
+            kernelc.run_host(src, "f", [[1, 2, 3]])
+        interp = kir.Interpreter(kernelc.compile_source(src))
+        with pytest.raises(KirRuntimeError):
+            interp.call("f", [[1, 2, 3]])

@@ -19,8 +19,10 @@ EDGES = [
     1.0, -1.0, 1e308, -1e308,
 ]
 FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(width=64))
-#: every combination of these is checked once per operation
-GRID = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 2.5]
+#: every combination of these is checked once per operation (numpy
+#: computes a uniform exponent of 0.5 or 2 as a square root or square)
+GRID = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.5, 2.5,
+        0.5, 2.0, 0.1]
 
 #: operation -> (arity, scalar form, vector form)
 OPS = {
@@ -61,6 +63,28 @@ def test_scalar_form_equals_vector_form(op, rows):
     for row, value in zip(lanes, got):
         want = scalar(*row)
         assert same_bits(want, float(value)), (op, row, want, value)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@settings(max_examples=20, deadline=None)
+@given(row=st.tuples(FLOATS, FLOATS, FLOATS), lanes=st.integers(1, 40))
+@example(row=(-0.0, 0.5, 0.0), lanes=3)
+@example(row=(-math.inf, 0.5, 0.0), lanes=3)
+@example(row=(0.1, 2.0, 0.0), lanes=17)
+def test_uniform_operand_equals_a_column(op, row, lanes):
+    """The vec tier passes a uniform operand as a scalar; the result has
+    the bits of that operand spread over every lane."""
+    arity, _, vector = OPS[op]
+    args = row[:arity]
+    columns = [np.full(lanes, a) for a in args]
+    with np.errstate(all="ignore"):
+        want = vector(*columns)
+        for k in range(arity):
+            got = np.broadcast_to(
+                vector(*columns[:k], args[k], *columns[k + 1:]), (lanes,)
+            )
+            for a, b in zip(want, got):
+                assert same_bits(float(a), float(b)), (op, args, k)
 
 
 TWO63 = 2.0**63

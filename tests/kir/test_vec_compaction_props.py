@@ -1,13 +1,15 @@
 """Property suite for active-lane compaction (hypothesis).
 
 Random divergent-loop kernels are generated from a small grammar —
-per-lane trip counts, optional ``continue``/``break`` arms, nested
-inner loops, and deliberately repeated subexpressions (CSE bait) — and
-executed with compaction forced on (density 1.0, checked every round)
-and forced off (density 0.0).  Outputs, per-group warp maxima and
-priced ledger totals must be bit-identical: compaction and CSE are
-wall-clock optimisations only, invisible to everything the simulation
-reports.
+per-lane trip counts, optional ``continue``/``break``/``return`` arms,
+``if``/``else`` branches of unequal cost, a private array written
+inside the loop and read at uniform rows after it, nested inner loops,
+and deliberately repeated subexpressions (CSE bait) — and executed with
+compaction forced on (density 1.0, checked every round) and forced off
+(density 0.0).  Outputs, per-group warp maxima and priced ledger totals
+must be bit-identical: compaction and CSE are wall-clock optimisations
+only, invisible to everything the simulation reports.  The vec tier's
+per-item op counts must also equal the scalar tier's.
 """
 
 from __future__ import annotations
@@ -31,8 +33,17 @@ def divergent_kernels(draw):
     trip_mod = draw(st.integers(min_value=2, max_value=9))
     trip_base = draw(st.integers(min_value=1, max_value=12))
     step = draw(st.integers(min_value=1, max_value=3))
-    arm = draw(st.sampled_from(["none", "continue", "break", "both"]))
+    arm = draw(st.sampled_from(
+        ["none", "continue", "break", "both", "return"]
+    ))
     arm_mod = draw(st.integers(min_value=2, max_value=5))
+    orelse = draw(st.sampled_from([
+        "",
+        "if ((i + j) % 3 == 0) { s += j * 2; } else { s = s + 1; }",
+        "if (s % 2 == 0) { s = s + i % 4; p[j % 4] = s; } "
+        "else { p[1] = j; }",
+    ]))
+    private = draw(st.booleans()) or "p[" in orelse
     body = draw(st.sampled_from([
         "s += i + j;",
         "s += (i + j) * (i + j);",   # repeated subtree: CSE bait
@@ -45,8 +56,11 @@ def divergent_kernels(draw):
         "    int i = get_global_id(0);",
         "    int s = 0;",
         "    int j = 0;",
-        f"    while (j < i % {trip_mod} + {trip_base}) {{",
     ]
+    if private:
+        lines.append("    int p[4];")
+        lines.append("    p[3] = n % 5;")
+    lines.append(f"    while (j < i % {trip_mod} + {trip_base}) {{")
     if arm in ("continue", "both"):
         lines.append(
             f"        if ((i + j) % {arm_mod} == 0) {{ j += {step}; "
@@ -54,12 +68,19 @@ def divergent_kernels(draw):
         )
     if arm in ("break", "both"):
         lines.append(f"        if (s > 50 + i % 17) {{ break; }}")
+    if arm == "return":
+        lines.append("        if (s > 40 + i % 13) { out[i] = s; return; }")
     lines.append(f"        {body}")
+    if orelse:
+        lines.append(f"        {orelse}")
     if nested:
         lines.append("        for (int t = 0; t < j % 3 + 1; t++) "
                      "{ s += t; }")
     lines.append(f"        j += {step};")
     lines.append("    }")
+    if private:
+        lines.append("    for (int t = 0; t < 4; t++) "
+                     "{ s += p[t] * (t + 1) + (i + n) * 2; }")
     lines.append("    out[i] = s;")
     lines.append("}")
     return "\n".join(lines)
@@ -118,6 +139,23 @@ class TestCompactionProperties:
         got = _at_density(source, density, every=every)
         ref = _at_density(source, 0.0)
         assert got == ref
+
+    @settings(deadline=None)
+    @given(divergent_kernels())
+    def test_item_ops_match_scalar_tier(self, source):
+        """Per-item op counts (warps of one item) and outputs equal the
+        scalar tier's, with compaction at its default policy."""
+        compiled = kernelc.build(source)
+        runner = compiled.kernel_runner("k")
+        assert runner.vec is not None, runner.vec_reason
+        ref_out = [0] * N
+        ref_ops = runner.run_range([ref_out, N], [N], [LSZ])
+        import numpy as np
+
+        vec_out = np.zeros(N, np.int64)
+        vec_ops = runner.vec.run_item_ops([vec_out, N], [N], [LSZ])
+        assert vec_ops.tolist() == list(ref_ops)
+        assert vec_out.tolist() == ref_out
 
     @settings(deadline=None, max_examples=10)
     @given(divergent_kernels())

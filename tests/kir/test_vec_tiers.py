@@ -15,12 +15,17 @@ depend on which tier executed a dispatch.
 from __future__ import annotations
 
 import contextlib
+import re
+import sys
+import threading
 
 import pytest
 
-from repro import kernelc, kir
+from repro import kcache, kernelc, kir
+from repro.apps.docrank import sources as docrank_sources
 from repro.apps.reduction import sources as reduction_sources
 from repro.kir import npcodegen
+from repro.kir.pycodegen import _Emitter
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl.costmodel import group_warp_costs
 from repro.opencl.dispatch import VEC_MIN_ITEMS
@@ -294,6 +299,153 @@ __kernel void selstore(__global int *out, int n) {
 }
 """
 
+# Private arrays read and written at uniform rows (a loop variable, a
+# constant, a declared variable and a uniform ?:), with and without an
+# enclosing mask; q[0] and q[2] are read where nothing wrote them.  The
+# second loop's i * n is loop-invariant, (s + i) * 2 - s is not.
+UNIFORM_ROWS = """
+__kernel void rows(__global int *out, int n) {
+    int i = get_global_id(0);
+    int p[4];
+    int q[3];
+    for (int t = 0; t < 4; t++) { p[t] = t * n; }
+    if (i % 3 == 0) { p[n > 3 ? 1 : 2] = i; q[n % 3] = p[0] + 1; }
+    int k = 2;
+    p[k] = p[k] + out[i];
+    int s = 0;
+    for (int t = 0; t < 4; t++) {
+        s += p[t] * (t + 1) + i * n;
+        s = (s + i) * 2 - s;
+    }
+    if (i % 2 == 1) { s += q[0] + 10 * q[n % 3] + p[n > 3 ? 1 : 0]; }
+    int x = p[1];
+    p[1] = 0;
+    out[i] = s + 1000 * x + p[1];
+}
+"""
+
+# Uniform indices that the vec tier holds as per-lane arrays: an
+# assignment in a kernel with return runs under its live mask, and an
+# inlined call's result is full-width.
+ROWS_AFTER_RETURN = """
+int wrap(int x) { return (x + 1) % 4; }
+__kernel void rowsret(__global int *out, int n) {
+    int i = get_global_id(0);
+    int p[4];
+    if (out[i] > 5) { return; }
+    int k = 0;
+    k = n % 4;
+    p[k] = i;
+    int c = wrap(n);
+    int h = c;
+    p[h] = p[k] + 1;
+    out[i] = p[0] + 10 * p[1] + 100 * p[2] + 1000 * p[c];
+}
+"""
+
+# Loop-invariant division stays in its loop: the first loop never runs
+# and no lane takes the branch in the second, so z = 0 divides nothing.
+INVARIANT_DIVISION = """
+__kernel void nohoist(__global int *out, int n, int z) {
+    int i = get_global_id(0);
+    int s = out[i];
+    for (int t = 0; t < n - 40; t++) { s += 10 / z; }
+    for (int t = 0; t < 3; t++) {
+        if (i < 0) { s += n % z; }
+        s += t * n;
+    }
+    out[i] = s;
+}
+"""
+
+# Straight-line if/else of unequal cost at full width and under an
+# enclosing mask: each lane is charged for the branch it takes.  The
+# while loop is uniform.
+STRAIGHT_BRANCHES = """
+__kernel void branches(__global int *out, int n) {
+    int i = get_global_id(0);
+    int a = out[i];
+    int b = 0;
+    if (a > 3) { b = a * 2 + 1; out[i] = b - n; } else { b = 7; }
+    if (i % 4 != 0) {
+        if (a % 2 == 0) { b += a; } else { b = b * a - n; a = a + 1; }
+    }
+    int u = 0;
+    while (u < n) { b += u; u = u + 1; }
+    out[i] = out[i] + b * 10 + a;
+}
+"""
+
+# In a function with return every assignment runs under the live mask,
+# so these loops' bounds are per lane (uniform loops over them raised a
+# raw ValueError on the vec tier).
+LOOPS_AFTER_RETURN = """
+int count_to(int n) {
+    int u = 0;
+    if (n < 0) { return 0; }
+    u = 1;
+    while (u < n) { u = u + 1; }
+    return u;
+}
+__kernel void loopsret(__global int *out, int n) {
+    int i = get_global_id(0);
+    if (i > 300) { return; }
+    int u = 0;
+    u = n - 1;
+    while (u < n + 2) { u = u + 1; }
+    int s = 0;
+    for (int t = 0; t < u; t++) { s += t; }
+    out[i] = s + count_to(n + i % 3);
+}
+"""
+
+# Masked while loops left by break, by continue and by return; the
+# first two also compact when compaction is forced.
+WHILE_EXITS = """
+__kernel void exits(__global int *out, int n) {
+    int i = get_global_id(0);
+    int s = out[i];
+    int j = 0;
+    while (j < i % 13) {
+        s += j;
+        if (s > 20 + i % 5) { break; }
+        j++;
+    }
+    int k = 0;
+    while (k < i % 11) {
+        k++;
+        if (k % 3 == 0) { continue; }
+        s += k;
+    }
+    int m = 0;
+    while (m < n) {
+        m += 1 + i % 4;
+        if (m > 9 + i % 6) { out[i] = s + m; return; }
+    }
+    out[i] = s;
+}
+"""
+
+WHILE_COMPACTS = """
+__kernel void compacts(__global int *out, int n) {
+    int i = get_global_id(0);
+    int s = out[i];
+    int j = 0;
+    while (j < i % 29) {
+        s += j * 3;
+        if (s > 200 + i % 50) { break; }
+        j++;
+    }
+    int k = 0;
+    while (k < i % 23 + n) {
+        k++;
+        if (k % 4 == 0) { continue; }
+        s -= k;
+    }
+    out[i] = s;
+}
+"""
+
 HELPER_IN_LOOP_COND = """
 int step_of(int x) { return x % 3 + 1; }
 __kernel void strider(__global int *out, int n) {
@@ -451,6 +603,13 @@ class TestLedgerTotals:
         (UNIFORM_SELECT_STORE, "selstore", [5], 1, "int"),
         (SHORT_CIRCUIT_CALL, "found", [256], 2, "int"),
         (CALL_OPERANDS, "calls", [256], 2, "int"),
+        (UNIFORM_ROWS, "rows", [5], 1, "int"),
+        (ROWS_AFTER_RETURN, "rowsret", [6], 1, "int"),
+        (INVARIANT_DIVISION, "nohoist", [40, 0], 1, "int"),
+        (LOOPS_AFTER_RETURN, "loopsret", [5], 1, "int"),
+        (STRAIGHT_BRANCHES, "branches", [3], 1, "int"),
+        (WHILE_EXITS, "exits", [40], 1, "int"),
+        (WHILE_COMPACTS, "compacts", [3], 1, "int"),
     ]
 
     @pytest.mark.parametrize("case", range(len(SOURCES)))
@@ -470,6 +629,14 @@ class TestLedgerTotals:
             shapes = [n]
         self.check(scalar_tier, source, name, scalars, shapes[:nbuf], dtype,
                    n)
+
+    @pytest.mark.parametrize("name", ["exits", "compacts"])
+    def test_masked_while_with_compaction_forced(self, name, scalar_tier):
+        source = WHILE_EXITS if name == "exits" else WHILE_COMPACTS
+        before = npcodegen.thread_compact_stats()[0]
+        with compaction(1.0, 1):
+            self.check(scalar_tier, source, name, [40], [512], "int", 512)
+        assert npcodegen.thread_compact_stats()[0] > before
 
     def test_short_circuit_call_at_eight_items(self, scalar_tier):
         """Both runs take the scalar tier at this size."""
@@ -627,3 +794,131 @@ class TestLoopBodyCSE:
         with scalar_tier():
             scalar_out = _run_mandelbrot_dispatch(w=64, h=8, max_iter=60)
         assert vec_out == scalar_out
+
+
+# -- private arrays and the generated code of the shipped kernels ---------
+
+READ_BEFORE_WRITE = """
+__kernel void first(__global int *out, int n) {
+    int i = get_global_id(0);
+    int p[3];
+    int r = p[0] + 10 * p[i % 3];
+    p[0] = i + n;
+    p[i % 3] = n;
+    out[i] = r + p[0];
+}
+"""
+
+DECL_IN_LOOP = """
+__kernel void inloop(__global int *out, int n) {
+    int i = get_global_id(0);
+    int s = 0;
+    for (int t = 0; t < n; t++) {
+        int p[2];
+        s += p[0] * 100 + p[i % 2];
+        p[0] = t + 1;
+        p[i % 2] = i;
+    }
+    for (int t = 0; t < i % 4 + n; t++) {
+        int q[2];
+        s += q[1] + q[i % 2];
+        q[1] = t;
+        q[i % 2] = i + 1;
+    }
+    out[i] = s;
+}
+"""
+
+
+def _vec_out(runner, n, scalars):
+    np = _np()
+    out = np.zeros(n, np.int64)
+    runner.vec.run_item_ops([out, *scalars], [n], [8])
+    return out.tolist()
+
+
+class TestPrivateArrays:
+    """A private array starts at zero each time its declaration runs,
+    and a kernel the compile cache shares runs on threads at once."""
+
+    def test_slot_read_before_written_reads_zero_every_dispatch(self):
+        runner = kernelc.build(READ_BEFORE_WRITE).kernel_runner("first")
+        for n in (5, 9, 5):
+            (want,) = interp_buffers(READ_BEFORE_WRITE, "first", [n],
+                                     [[0] * 512], [512], [8])
+            assert _vec_out(runner, 512, [n]) == want
+
+    def test_array_declared_in_a_loop_restarts_at_zero(self):
+        runner = kernelc.build(DECL_IN_LOOP).kernel_runner("inloop")
+        for _ in range(2):
+            assert _vec_out(runner, 512, [3]) == [0] * 512
+
+    def test_threads_sharing_a_kernel_match_their_solo_runs(self):
+        np = _np()
+        compiled = kcache.get_or_build(docrank_sources.KERNEL_SOURCE)
+        assert kcache.get_or_build(docrank_sources.KERNEL_SOURCE) is compiled
+        vec = compiled.kernel_runner("rank").vec
+        v = 64
+        w = np.array([(t % 5 - 2) * 0.5 for t in range(v)])
+        # One shape, so the threads would share arrays if anything did.
+        tfs = {
+            seed: np.array([(d * seed + t * t) % 7 for d in range(512)
+                            for t in range(v)], np.int64)
+            for seed in (3, 11)
+        }
+
+        def rank(seed):
+            out = np.zeros(512, np.int64)
+            ops = vec.run_item_ops([tfs[seed], w, out, v, 1.0], [512], [64])
+            return out.tolist(), ops.tolist()
+
+        solo = {seed: rank(seed) for seed in tfs}
+        assert solo[3][0] != solo[11][0]
+        start = threading.Barrier(len(tfs), timeout=60)
+        wrong = []
+
+        def worker(seed):
+            start.wait()
+            try:
+                for _ in range(20):
+                    if rank(seed) != solo[seed]:
+                        wrong.append(seed)
+            except Exception as exc:  # reported by the assertion below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in tfs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+def _vec_source(source, kernel):
+    module = kernelc.compile_source(source)
+    em = _Emitter()
+    npcodegen._gen_vec_kernel(module, module.kernel(kernel), em)
+    return em.source()
+
+
+class TestShippedKernelCode:
+    """The generated code of the two kernels the vec tier spends most of
+    the benchmark in."""
+
+    def test_rank_reads_and_writes_private_rows_inline(self):
+        code = _vec_source(docrank_sources.KERNEL_SOURCE, "rank")
+        assert "__vstore2(" not in code
+        assert "__vload2(" not in code
+        assert "__vload(" not in code
+
+    def test_mandelbrot_charges_once_per_round(self):
+        code = _vec_source(mandelbrot_sources.KERNEL_SOURCE, "mandelbrot")
+        loop = code[code.index("while True:"):]
+        assert len(re.findall(r"__ops \+= __m\d+", loop)) == 1

@@ -11,6 +11,7 @@ same typed error on either tier, on one device or split over two.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -226,6 +227,51 @@ class TestRedundantWrite:
             queue.enqueue_write_buffer(buf, [0, 1])
             assert math.copysign(1.0, buf.data[0]) == 1.0
         assert tr.counter("dispatch.xfer_elim") == 0
+
+
+    @pytest.mark.parametrize(
+        "fusion", [False, pytest.param(True, marks=pytest.mark.fusion)]
+    )
+    def test_float32_scalars_land(self, fusion):
+        """float32 0.1 equals 0.1 at float32 precision, but the write
+        stores its exact value."""
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 2)
+        with configure(fusion=fusion), tracing() as tr:
+            queue.enqueue_write_buffer(buf, [0.1, 0.2])
+            queue.enqueue_write_buffer(
+                buf, [np.float32(0.1), np.float32(0.2)]
+            )
+            assert buf.data == [0.10000000149011612, 0.20000000298023224]
+        assert tr.counter("dispatch.xfer_elim") == 0
+
+    def test_float_write_converts_without_probing(self):
+        asked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Buffer, "contents_equal",
+                       lambda buf, values: asked.append(buf) or True)
+            context, queue = _gpu_queue()
+            buf = Buffer(context, 4)
+            for value in (0.5, 0.5, 1.5):
+                queue.enqueue_write_buffer(buf, [value] * 4)
+        assert asked == []
+        assert buf.data == [1.5] * 4
+
+    @pytest.mark.fusion
+    def test_elision_compares_float_bits(self):
+        nan_a, nan_b = (
+            struct.unpack("<d", struct.pack("<Q", bits))[0]
+            for bits in (0x7FF8000000000001, 0x7FF8000000000002)
+        )
+        context, queue = _gpu_queue()
+        buf = Buffer(context, 2)
+        with configure(fusion=True), tracing() as tr:
+            queue.enqueue_write_buffer(buf, [nan_a, 1.0])
+            queue.enqueue_write_buffer(buf, [nan_a, 1.0])
+            assert tr.counter("dispatch.xfer_elim") == 1
+            queue.enqueue_write_buffer(buf, [nan_b, 1.0])
+            assert tr.counter("dispatch.xfer_elim") == 1
+        assert struct.pack("<d", buf.data[0]) == struct.pack("<d", nan_b)
 
 
 class TestReleaseFlushesFusion:
